@@ -35,7 +35,6 @@ from .models import (
     ImmigrationSpec,
     IngarchSpec,
     LogLinearSpec,
-    StepNoise,
     default_window,
     step,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "ImmigrationSpec",
     "IngarchSpec",
     "LogLinearSpec",
-    "StepNoise",
     "default_window",
     "step",
     "CountingCache",

@@ -5,7 +5,10 @@ radii and operator norms of summed coefficient matrices), compares them to 1
 with strict inequality, and lists the conclusions the holding conditions
 license.  Values within 1e-12 of 1 are additionally flagged ``boundary``:
 the underlying results need strict inequality, so numerical equality is
-evidence of a knife-edge configuration rather than a pass.
+evidence of a knife-edge configuration rather than a pass.  Spectral-radius
+verdicts are certified by Collatz-Wielandt bounds (:func:`linalg.radius_bracket`):
+a bracket below or above 1 decides the verdict, and a bracket that contains
+1 sets ``boundary``.
 """
 
 from __future__ import annotations
@@ -89,6 +92,15 @@ def _verdict(value: float) -> Verdict:
     return Verdict(HOLDS if value < 1.0 else FAILS, boundary=abs(value - 1.0) <= _BOUNDARY_TOL)
 
 
+def _radius(total) -> tuple[float, Verdict]:
+    """Spectral radius of a nonnegative matrix and its certified verdict."""
+    lo, hi = linalg.radius_bracket(total)
+    # Clamped into the bracket, the estimate agrees with any bracket that excludes 1.
+    rho = min(max(linalg.spectral_radius(total), lo), hi)
+    return rho, Verdict(HOLDS if rho < 1.0 else FAILS,
+                        boundary=lo <= 1.0 <= hi or abs(rho - 1.0) <= _BOUNDARY_TOL)
+
+
 def check_model(spec: ModelSpec) -> ConditionReport:
     """Dispatch to the family-specific checker."""
     if isinstance(spec, GinarSpec):
@@ -101,10 +113,10 @@ def check_model(spec: ModelSpec) -> ConditionReport:
 def check_ginar(spec: GinarSpec) -> ConditionReport:
     """Stationarity and moment conditions of the thinning model."""
     total = sum(spec.mean_matrices[1:], spec.mean_matrices[0].copy())
-    rho = linalg.spectral_radius(total)
+    rho, stationarity = _radius(total)
     computed = {"rho_sum_means": Diagnostic(rho, total.tolist())}
     verdicts = {
-        "stationarity": _verdict(rho),
+        "stationarity": stationarity,
         # Built-in counting and immigration families all have finite moments
         # of every order, so the moment hypothesis holds by construction.
         "higher_order_moments": Verdict(HOLDS),
@@ -131,7 +143,7 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
     total = spec.lambda_matrices[0] + spec.count_matrices[0]
     for j in range(1, spec.q):
         total = total + spec.lambda_matrices[j] + spec.count_matrices[j]
-    rho = linalg.spectral_radius(total)
+    rho, stationarity = _radius(total)
     l1_sum = sum(linalg.matrix_norm(a, "l1") for a in spec.lambda_matrices) \
         + sum(linalg.matrix_norm(b, "l1") for b in spec.count_matrices)
     linf = linalg.matrix_norm(total, "linf")
@@ -148,8 +160,8 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
         "min_offset": Diagnostic(min_d, spec.intensity_offset.tolist()),
     }
     verdicts = {
-        "stationarity": _verdict(rho),
-        "polynomial_moments": _verdict(rho),
+        "stationarity": stationarity,
+        "polynomial_moments": stationarity,
         "exp_moment_l1": _verdict(l1_sum),
         "exp_moment_linf": _verdict(linf),
         "necessity_applicable": Verdict(HOLDS if min_d > 0 else NOT_APPLICABLE),
@@ -199,14 +211,14 @@ def check_loglinear(spec: LogLinearSpec) -> ConditionReport:
     for j in range(1, spec.q):
         total = total + linalg.entrywise_abs(spec.mu_matrices[j]) \
             + linalg.entrywise_abs(spec.logcount_matrices[j])
-    rho = linalg.spectral_radius(total)
+    rho, stationarity = _radius(total)
     linf = linalg.matrix_norm(total, "linf")
     computed = {
         "rho_sum_abs": Diagnostic(rho, total.tolist()),
         "linf_sum_abs": Diagnostic(linf, total.tolist()),
     }
     verdicts = {
-        "stationarity": _verdict(rho),
+        "stationarity": stationarity,
         "exp_moments": _verdict(linf),
     }
     implications = []

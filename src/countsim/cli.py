@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config's master seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel replicate workers (default: hardware threads)")
+                         help="worker processes for replicate blocks (default: hardware threads); "
+                              "no value changes any output")
         cmd.add_argument("--strict", action="store_true",
                          help="exit with status 2 if the stationarity condition fails")
     return parser
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: trajectory diverged: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, StationarityError) as exc:
+    except (ConfigurationError, StationarityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

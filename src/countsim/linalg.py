@@ -17,10 +17,9 @@ from .errors import StationarityError
 #: Supported operator-norm kinds.
 NORM_KINDS = ("l1", "l2", "linf")
 
-_GELFAND_TOL = 1e-10
-_GELFAND_MAX_SQUARINGS = 64
-_POWER_REL_TOL = 1e-10
-_POWER_MAX_ITER = 10000
+# Relative widening of a Collatz-Wielandt bound per row entry, covering the
+# rounding of the matrix-vector product it is computed from.
+_BRACKET_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -76,8 +75,7 @@ def matrix_norm(m, kind: str) -> float:
         Square matrix.
     kind : str
         One of ``"l1"`` (max absolute column sum), ``"linf"`` (max absolute
-        row sum) or ``"l2"`` (largest singular value, computed by power
-        iteration on the Gram matrix).
+        row sum) or ``"l2"`` (largest singular value).
 
     Returns
     -------
@@ -91,65 +89,58 @@ def matrix_norm(m, kind: str) -> float:
         return float(np.max(np.sum(np.abs(m), axis=0)))
     if kind == "linf":
         return float(np.max(np.sum(np.abs(m), axis=1)))
-    return _largest_singular_value(m)
-
-
-def _largest_singular_value(m: np.ndarray) -> float:
-    """Power iteration on M'M with a deterministic start vector.
-
-    Uses the all-ones start and, if the Rayleigh quotient stagnates without
-    meeting the relative tolerance, one perturbed restart.
-    """
-    gram = m.T @ m
-    p = gram.shape[0]
-    start = np.ones(p) / np.sqrt(p)
-    perturbed = np.ones(p) + 0.01 * np.arange(1, p + 1)
-    perturbed /= np.linalg.norm(perturbed)
-
-    best = 0.0
-    for v in (start, perturbed):
-        rayleigh = None
-        for _ in range(_POWER_MAX_ITER):
-            w = gram @ v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                # v lies in the kernel; retry from the other start vector.
-                break
-            v = w / norm_w
-            current = float(v @ gram @ v)
-            if rayleigh is not None and abs(current - rayleigh) <= _POWER_REL_TOL * max(current, 1e-300):
-                return float(np.sqrt(max(current, 0.0)))
-            rayleigh = current
-        if rayleigh is not None:
-            best = max(best, rayleigh)
-    return float(np.sqrt(max(best, 0.0)))
+    return float(np.linalg.norm(m, 2))
 
 
 def spectral_radius(m) -> float:
-    """Spectral radius by repeated squaring with rescaling.
+    """Largest modulus of the eigenvalues (LAPACK ``geev``)."""
+    m = _require_square(as_matrix(m), "matrix")
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
-    Squares the matrix up to 64 times, rescaling by the l1 operator norm at
-    every stage to avoid overflow/underflow, and returns the limit of
-    ``|M^(2^k)|_1 ** (1 / 2^k)``.  Iteration stops once two successive
-    estimates differ by less than 1e-10.  Sign-agnostic and safe for
-    reducible nonnegative matrices, where naive power iteration can stall.
+
+def strong_components(m) -> list[list[int]]:
+    """Index sets of the strongly connected components of ``i -> j`` where ``m[i, j] != 0``."""
+    n = m.shape[0]
+    reach = (m != 0) | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall's transitive closure
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    components, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            component = [j for j in range(n) if reach[i, j] and reach[j, i]]
+            seen.update(component)
+            components.append(component)
+    return components
+
+
+def radius_bracket(m) -> tuple[float, float]:
+    """Certified bounds ``lo <= rho(m) <= hi`` for a nonnegative matrix.
+
+    The spectral radius of a nonnegative matrix is the largest over its
+    strongly connected diagonal blocks.  On an irreducible block ``B``, every
+    positive ``x`` gives the Collatz-Wielandt bounds
+    ``min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i``; with ``x`` the
+    block's numerical Perron vector they are tight, and they are widened by
+    the rounding of ``Bx``.  A 1 x 1 block is its own radius, exactly.
+    Unlike eigenvalues, these bounds stay accurate for defective matrices.
     """
     m = _require_square(as_matrix(m), "matrix")
-    r = m.copy()
-    log_scale = 0.0  # log of the accumulated rescaling factor for M^(2^k)
-    estimate = None
-    for k in range(_GELFAND_MAX_SQUARINGS):
-        s = float(np.max(np.sum(np.abs(r), axis=0)))
-        if s == 0.0:
-            return 0.0  # nilpotent: an exact power vanished
-        current = np.exp((log_scale + np.log(s)) / 2.0**k)
-        if estimate is not None and abs(current - estimate) < _GELFAND_TOL:
-            return float(current)
-        estimate = current
-        r = r / s
-        r = r @ r
-        log_scale = 2.0 * (log_scale + np.log(s))
-    return float(estimate)
+    if np.any(m < 0):
+        raise ValueError("radius bracket needs a nonnegative matrix")
+    lo = hi = 0.0
+    for component in strong_components(m):
+        block = m[np.ix_(component, component)]
+        if len(component) == 1:
+            block_lo = block_hi = float(block[0, 0])
+        else:
+            values, vectors = np.linalg.eig(block)
+            x = np.maximum(np.abs(vectors[:, np.argmax(np.abs(values))].real), np.finfo(float).tiny)
+            ratios = (block @ x) / x
+            slack = _BRACKET_SLACK * len(component)
+            block_lo = float(ratios.min()) * (1.0 - slack)
+            block_hi = float(ratios.max()) * (1.0 + slack)
+        lo, hi = max(lo, block_lo), max(hi, block_hi)
+    return lo, hi
 
 
 def companion(blocks: Sequence) -> np.ndarray:

@@ -9,26 +9,31 @@ Each model advances a window of its ``q`` most recent composite states
 * Log-linear: ``mu_t = d + sum_j A_j mu_{t-j} + sum_j B_j log(1 + y_{t-j})``,
   ``lambda_t = exp(mu_t)``; coefficients may be negative.
 
-Specs are immutable and shareable; windows and noise are per-trajectory
-state.  The log-linear window stores ``(log(1 + y), mu)`` pairs, the
-coordinates in which that model contracts, so coupling distances are
-measured where contraction actually happens.
+Specs are immutable and shareable.  A block of replicates, each with one or
+two coupled chains, advances in lockstep through :func:`step`: its state is
+a tuple of ``(chains, replicates, q, p)`` arrays holding the windows (see
+:func:`block_state`).  The log-linear window stores ``(log(1 + y), mu)``
+pairs, the coordinates in which that model contracts, so coupling distances
+are measured where contraction actually happens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .randomness import (
+from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patches it here)
     COUNTING_FAMILIES,
-    CountNoise,
     CountingCache,
     Dependence,
     Stream,
+    broadcast_draws,
     make_stream,
+    shared_counts,
+    shared_thinning,
     thinning,
 )
 
@@ -88,11 +93,17 @@ class ImmigrationSpec:
         return self.values
 
     def draw(self, stream: Stream) -> np.ndarray:
+        """One immigration vector from a per-step stream."""
+        return self.sample(stream.rng)
+
+    def sample(self, rng: np.random.Generator, replicates: int | None = None) -> np.ndarray:
+        """One vector, or a ``(replicates, p)`` array of independent ones."""
+        shape = self.values.shape if replicates is None else (replicates,) + self.values.shape
         if self.family == "poisson":
-            return stream.rng.poisson(self.values).astype(np.int64)
+            return broadcast_draws(rng.poisson, self.values, shape=shape).astype(np.int64)
         if self.family == "geometric":
-            return (stream.rng.geometric(1.0 / (1.0 + self.values)) - 1).astype(np.int64)
-        return self.values.astype(np.int64)
+            return (broadcast_draws(rng.geometric, 1.0 / (1.0 + self.values), shape=shape) - 1).astype(np.int64)
+        return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,11 @@ class GinarSpec:
     @property
     def kind(self) -> str:
         return "ginar"
+
+    @cached_property
+    def stacked_means(self) -> np.ndarray:
+        """``mean_matrices`` as one ``(q, p, p)`` array."""
+        return _freeze(np.stack(self.mean_matrices))
 
 
 @dataclass(frozen=True)
@@ -256,37 +272,6 @@ def validate_window(spec: ModelSpec, window) -> list:
     return out
 
 
-class StepNoise:
-    """All randomness one time step consumes.
-
-    Everything draws sequentially from one child stream addressed by
-    ``(master_seed, replicate_id, time_index)``: immigration first, then the
-    counting sequences or count-process noise, in a fixed order.  A simulated
-    trajectory builds a fresh instance per step; two coupled chains share a
-    single instance so they see the same immigration draw, the same cached
-    counting sequences and the same count-process realization.
-    """
-
-    __slots__ = ("time_index", "base", "cache", "counts", "_immigration")
-
-    def __init__(self, spec: ModelSpec, time_index: int, master_seed: int, replicate_id: int):
-        self.time_index = int(time_index)
-        self.base = make_stream(master_seed, replicate_id, time_index)
-        self.cache = None
-        self.counts = None
-        self._immigration = None
-        if isinstance(spec, GinarSpec):
-            self.cache = CountingCache()
-        else:
-            self.counts = CountNoise(spec.dependence, spec.p, self.base)
-
-    def immigration(self, spec: GinarSpec) -> np.ndarray:
-        """This step's immigration vector, drawn once and then shared."""
-        if self._immigration is None:
-            self._immigration = spec.immigration.draw(self.base)
-        return self._immigration
-
-
 def ginar_step(spec: GinarSpec, window, t: int, cache: CountingCache, stream: Stream) -> np.ndarray:
     """One GINAR transition: immigration plus thinning of each lag.
 
@@ -308,14 +293,6 @@ def ingarch_intensity(spec: IngarchSpec, window) -> np.ndarray:
     return lam
 
 
-def ingarch_step(spec: IngarchSpec, window, noise: CountNoise) -> tuple[np.ndarray, np.ndarray]:
-    """One linear-intensity transition; returns ``(counts, lambda)``."""
-    lam = ingarch_intensity(spec, window)
-    if np.any(lam < 0):
-        raise AssertionError("negative intensity: nonnegativity invariants violated")
-    return noise.at(lam), lam
-
-
 def loglinear_mu(spec: LogLinearSpec, window) -> np.ndarray:
     mu = spec.offset.copy()
     for j in range(spec.q):
@@ -324,62 +301,99 @@ def loglinear_mu(spec: LogLinearSpec, window) -> np.ndarray:
     return mu
 
 
-def loglinear_step(spec: LogLinearSpec, window, noise: CountNoise, t: int | None = None):
-    """One log-linear transition; returns ``(counts, mu, lambda)``.
+def block_state(spec: ModelSpec, windows, replicates: int = 1) -> tuple[np.ndarray, ...]:
+    """Stack validated windows, one per chain, into a block state.
+
+    Every replicate of chain ``c`` starts from ``windows[c]``.  The state is
+    ``(counts,)`` for GINAR, ``(counts, lambda)`` for the linear model and
+    ``(log(1 + counts), mu)`` for the log-linear one, each array of shape
+    ``(chains, replicates, q, p)`` with the most recent lag first.
+    """
+    fields = 1 if isinstance(spec, GinarSpec) else 2
+    state = []
+    for f in range(fields):
+        stacked = np.array([[entry if fields == 1 else entry[f] for entry in window] for window in windows])
+        state.append(np.repeat(stacked[:, None], replicates, axis=1))
+    return tuple(state)
+
+
+def _lag_sum(mats, window: np.ndarray) -> np.ndarray:
+    """``sum_j mats[j] @ window[c, r, j]`` for every chain and replicate."""
+    total = window[:, :, 0] @ mats[0].T
+    for j in range(1, len(mats)):
+        total = total + window[:, :, j] @ mats[j].T
+    return total
+
+
+def _push(window: np.ndarray, newest: np.ndarray) -> np.ndarray:
+    """Prepend the newest lag and drop the oldest."""
+    if window.shape[2] == 1:
+        return newest[:, :, None]
+    return np.concatenate((newest[:, :, None], window[:, :, :-1]), axis=2)
+
+
+def ginar_block_step(spec: GinarSpec, state, rng: np.random.Generator):
+    """One GINAR transition of a block: shared immigration plus thinning.
+
+    Returns ``(state, counts, mean)``; ``mean`` is the conditional mean
+    ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.
+    """
+    (x,) = state
+    counts = spec.immigration.sample(rng, x.shape[1]) \
+        + shared_thinning(rng, spec.counting_family, spec.stacked_means, x)
+    mean = spec.immigration.mean() + _lag_sum(spec.mean_matrices, x)
+    return (_push(x, counts),), counts, mean
+
+
+def ingarch_block_step(spec: IngarchSpec, state, rng: np.random.Generator):
+    """One linear-intensity transition of a block; returns ``(state, counts, lambda)``."""
+    y, prev_lam = state
+    lam = spec.intensity_offset + (_lag_sum(spec.lambda_matrices, prev_lam)
+                                   + _lag_sum(spec.count_matrices, y))
+    counts = shared_counts(rng, spec.dependence, lam)
+    return (_push(y, counts), _push(prev_lam, lam)), counts, lam
+
+
+def loglinear_block_step(spec: LogLinearSpec, state, rng: np.random.Generator, t: int | None = None):
+    """One log-linear transition of a block; returns ``(state, counts, lambda)``.
 
     Raises :class:`DivergenceError` if any component of mu exceeds 700,
     which parameter choices violating the stability condition can produce.
     """
-    mu = loglinear_mu(spec, window)
-    if np.any(mu > MU_LIMIT):
+    log1p_y, prev_mu = state
+    mu = spec.offset + (_lag_sum(spec.mu_matrices, prev_mu) + _lag_sum(spec.logcount_matrices, log1p_y))
+    if mu.max() > MU_LIMIT:
         raise DivergenceError(
             f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary",
             time_index=t,
         )
     lam = np.exp(mu)
-    return noise.at(lam), mu, lam
+    counts = shared_counts(rng, spec.dependence, lam)
+    return (_push(log1p_y, np.log1p(counts)), _push(prev_mu, mu)), counts, lam
 
 
-def step(spec: ModelSpec, window, t: int, noise: StepNoise):
-    """Uniform one-step dispatch over the three families.
+def step(spec: ModelSpec, state, t: int, rng: np.random.Generator):
+    """Uniform one-step dispatch over the three families for a block state.
 
-    Returns ``(new_window, counts, intensity)`` where the new window has the
-    freshly produced composite state prepended and the oldest dropped, and
-    ``intensity`` is the conditional mean of the counts given the window.
+    Returns ``(new_state, counts, intensity)``: counts and intensity have
+    shape ``(chains, replicates, p)`` and ``intensity`` is the conditional
+    mean of the counts given the window.  Every chain of a replicate
+    consumes the same noise.
     """
+    if len(state) != (1 if isinstance(spec, GinarSpec) else 2):
+        raise ConfigurationError(f"block state does not match a {spec.kind} model")
     if isinstance(spec, GinarSpec):
-        if noise.cache is None:
-            raise ConfigurationError("noise context does not match a thinning model")
-        # Same draw order as ginar_step (immigration, then lags), but the
-        # immigration draw is cached on the noise so coupled chains share it.
-        counts = noise.immigration(spec).copy()
-        for j in range(spec.q):
-            counts = counts + thinning(noise.cache, (t, j + 1), spec.mean_matrices[j],
-                                       spec.counting_family, window[j], noise.base)
-        counts = counts.astype(np.int64)
-        mean = spec.immigration.mean().astype(float).copy()
-        for j in range(spec.q):
-            mean += spec.mean_matrices[j] @ window[j]
-        return [counts] + window[:-1], counts, mean
-    if noise.counts is None:
-        raise ConfigurationError("noise context does not match an intensity model")
+        return ginar_block_step(spec, state, rng)
     if isinstance(spec, IngarchSpec):
-        counts, lam = ingarch_step(spec, window, noise.counts)
-        return [(counts, lam)] + window[:-1], counts, lam
+        return ingarch_block_step(spec, state, rng)
     if isinstance(spec, LogLinearSpec):
-        counts, mu, lam = loglinear_step(spec, window, noise.counts, t)
-        return [(np.log1p(counts.astype(float)), mu)] + window[:-1], counts, lam
+        return loglinear_block_step(spec, state, rng, t)
     raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
 
 
-def window_distance(spec: ModelSpec, window_a, window_b) -> float:
-    """l1 distance between two stacked composite states of the same model."""
+def window_distance(spec: ModelSpec, state) -> np.ndarray:
+    """l1 distance between the two chains' stacked composite states, per replicate."""
     total = 0.0
-    if isinstance(spec, GinarSpec):
-        for xa, xb in zip(window_a, window_b):
-            total += float(np.sum(np.abs(xa.astype(float) - xb.astype(float))))
-        return total
-    for (a1, a2), (b1, b2) in zip(window_a, window_b):
-        total += float(np.sum(np.abs(np.asarray(a1, dtype=float) - np.asarray(b1, dtype=float))))
-        total += float(np.sum(np.abs(a2 - b2)))
+    for part in state:
+        total = total + np.abs(part[0] - part[1]).sum(axis=(1, 2), dtype=float)
     return total

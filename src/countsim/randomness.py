@@ -1,15 +1,27 @@
 """Seeded deterministic randomness for count-process simulation.
 
-Every random object here is addressed by a *lineage*: a tuple of integers
-starting with ``(master_seed, replicate_id, time_index)``.  The lineage is
+Every random object here is addressed by a *lineage*, a tuple of integers
 folded into a 64-bit PCG64 seed with a fixed SplitMix64-based mixer, so any
 stream can be reconstructed independently of construction order and the same
 lineage yields bit-identical draws on every platform.
 
-The module provides unit-rate Poisson process paths (evaluable at several
-intensities on one realization, which is what makes common-noise coupling
-possible), copula-coupled Poisson count vectors, and the cached counting
-sequences behind the thinning operator.
+The engine advances a block of replicates, and for coupling both chains, in
+lockstep.  Each block owns one persistent generator addressed by
+``(master_seed, block)`` (:func:`block_rng`), and the noise two coupled
+chains share is drawn in closed form from both chains' parameters at once:
+
+* :func:`shared_poisson` -- counts of one unit-rate Poisson process at the two
+  chains' intensities: ``Poisson(lo)`` for both plus an independent
+  ``Poisson(hi - lo)`` increment for the chain with the higher intensity;
+* :func:`shared_thinning` -- thinning sums over the shared prefix of one
+  counting sequence, plus independent sums over each chain's extra terms;
+* :func:`poisson_quantile` -- the Poisson inverse CDF at the copula's normal
+  scores, which both chains share (:func:`shared_counts`).
+
+The per-step primitives addressed by ``(master_seed, replicate_id,
+time_index)`` (:class:`PoissonProcessPath`, :class:`CountNoise`,
+:class:`CountingCache`, :func:`thinning`, :func:`poisson_inverse_cdf`) are the
+scalar references the law tests compare the block primitives against.
 """
 
 from __future__ import annotations
@@ -28,6 +40,9 @@ COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 
 #: Intensities above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
+
+# Arrays up to this size are drawn element by element (see broadcast_draws).
+_SMALL_DRAW = 8
 
 
 def _splitmix64(x: int) -> int:
@@ -80,6 +95,157 @@ class Stream:
 def make_stream(master_seed: int, replicate_id: int, time_index: int) -> Stream:
     """Stream for one time step of one replicate; pure in its arguments."""
     return Stream((int(master_seed), int(replicate_id), int(time_index)))
+
+
+def block_rng(master_seed: int, block: int) -> np.random.Generator:
+    """The persistent generator of one replicate block; pure in its arguments."""
+    return Stream((int(master_seed), int(block))).rng
+
+
+def _check_intensities(lam: np.ndarray) -> None:
+    """Refuse negative or non-finite intensities and those past the limit."""
+    if not lam.min() >= 0.0:  # also false for NaN
+        raise ValueError("intensities must be finite and nonnegative")
+    if lam.max() > INTENSITY_LIMIT:
+        raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
+
+
+def broadcast_draws(method, *params, shape=None) -> np.ndarray:
+    """``method(*params)`` for a generator method, broadcast to ``shape`` if given.
+
+    Results of at most a few entries are drawn element by element: the same
+    values as one vectorized call, without its per-call overhead.
+    """
+    grid = np.broadcast(*params) if shape is None else np.broadcast(*params, np.empty(shape))
+    if grid.size > _SMALL_DRAW:
+        return method(*params) if shape is None else method(*params, size=grid.shape)
+    k = len(params)
+    return np.array([method(*args[:k]) for args in grid], dtype=np.int64).reshape(grid.shape)
+
+
+def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+    """Counts of one unit-rate Poisson process per entry, at each chain's intensity.
+
+    ``lam`` has one or two chains on its first axis.  With two chains both
+    read ``N(lo)`` and the chain with the higher intensity adds the
+    independent increment ``N(hi) - N(lo) ~ Poisson(hi - lo)``, so each chain
+    is Poisson at its own intensity and the counts are monotone in it.
+    """
+    if lam.shape[0] == 1:
+        return broadcast_draws(rng.poisson, lam)
+    lo = np.minimum(lam[0], lam[1])
+    base = broadcast_draws(rng.poisson, lo)
+    extra = broadcast_draws(rng.poisson, np.maximum(lam[0], lam[1]) - lo)
+    first_higher = lam[0] > lam[1]
+    return np.stack((base + np.where(first_higher, extra, 0),
+                     base + np.where(first_higher, 0, extra)))
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_TINY = np.finfo(float).tiny
+
+
+def poisson_quantile(scores, lam) -> np.ndarray:
+    """Poisson(lam) quantiles at the probabilities Phi(scores), elementwise.
+
+    The lower half (``score <= 0``) is the smallest ``k`` with CDF ``>= u``,
+    ``u = Phi(score)``, summed term by term exactly as
+    :func:`poisson_inverse_cdf` does.  The upper half is the smallest ``k``
+    with ``P(X > k) <= Phi(-score)``, so a probability that would round to 1
+    is never formed.  Both tail masses come from ``erfc``.  Terms are taken
+    over a window that widens until the mass beyond it cannot change the
+    result; an :class:`OverflowError` is raised when that needs more than
+    ``lam + 40*sqrt(lam) + 250`` terms (more than any tail mass down to the
+    smallest normal double needs) or when the leading term underflows.
+    """
+    z, lam = np.broadcast_arrays(np.asarray(scores, dtype=float), np.asarray(lam, dtype=float))
+    shape = lam.shape
+    z, lam = z.ravel(), lam.ravel()
+    if np.isnan(z).any() or not lam.min() >= 0.0:
+        raise ValueError("scores must not be NaN; intensities must be nonnegative")
+    head = np.exp(-lam)
+    if (head == 0.0).any():
+        raise OverflowError(f"intensity {lam.max()} too large for sequential inverse CDF")
+    upper = z > 0.0
+    tail = np.maximum(0.5 * _erfc(np.abs(z) * math.sqrt(0.5)).astype(float), _TINY)
+    columns = np.arange(lam.size)
+    lam_max = float(lam.max())
+    cap = int(lam_max + 40.0 * math.sqrt(lam_max) + 250.0)
+    width = min(cap, int(np.max(lam + (np.abs(z) + 3.0) * np.sqrt(lam))) + 5)
+    while True:
+        # Row k holds term k of every entry, so each column is summed in
+        # order, exactly as the scalar search sums it.
+        pmf = np.empty((width + 1, lam.size))
+        pmf[0] = head
+        np.divide(lam, np.arange(1.0, width + 1.0)[:, None], out=pmf[1:])
+        np.cumprod(pmf, axis=0, out=pmf)
+        cdf = np.cumsum(pmf, axis=0)
+        above = np.zeros_like(pmf)  # P(X > k) within the window
+        above[:-1] = np.cumsum(pmf[:0:-1], axis=0)[::-1]
+        k = np.where(upper, np.count_nonzero(above > tail, axis=0), np.count_nonzero(cdf < tail, axis=0))
+        # The mass beyond the window is at most pmf_width * r / (1 - r); an
+        # upper-half answer is exact once adding it keeps P(X > k) <= tail.
+        ratio = lam / (width + 2.0)
+        beyond = np.where(ratio < 1.0, pmf[-1] * ratio / np.maximum(1.0 - ratio, _TINY), np.inf)
+        if np.where(upper, above[k, columns] + beyond <= tail, cdf[-1] >= tail).all():
+            return k.reshape(shape)
+        if width >= cap:
+            raise OverflowError(f"inverse CDF search exceeded cap {cap} at intensity {lam_max}")
+        width = min(cap, 2 * width)
+
+
+def shared_counts(rng: np.random.Generator, scheme: Dependence, lam: np.ndarray) -> np.ndarray:
+    """One step's counts for ``(chains, replicates, p)`` intensities under the scheme.
+
+    Marginals are Poisson at each chain's own intensity; the chains share
+    the Poisson processes (independent scheme) or the copula scores.
+    """
+    _check_intensities(lam)
+    if scheme.kind == "independent":
+        return shared_poisson(rng, lam)
+    replicates, p = lam.shape[1:]
+    if scheme.kind == "comonotone":
+        scores = rng.standard_normal((replicates, 1))
+    else:
+        scores = rng.standard_normal((replicates, p)) @ scheme.cholesky.T
+    try:
+        return poisson_quantile(scores, lam)
+    except OverflowError as exc:
+        raise DivergenceError(str(exc)) from exc
+
+
+def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Thinning sums of one step for ``(chains, replicates, q, p)`` lagged counts.
+
+    Coordinate ``i`` of chain ``c`` is ``sum_j sum_l`` of the first
+    ``counts[c, r, j, l]`` terms of the counting sequence with mean
+    ``means[j, i, l]``; returns ``(chains, replicates, p)``.  Two chains read
+    the same sequence, so the sum over the shorter prefix ``lo`` is drawn
+    once for both and each chain adds an independent sum over its own
+    ``n - lo`` further terms.  Sums of ``n`` terms are drawn in closed form:
+    ``Bin(n, m)`` (bernoulli), ``Poisson(n m)`` summed over the lags and
+    columns (poisson) or a negative binomial, zero where ``n = 0``
+    (geometric).
+    """
+    if counts.shape[0] == 1:
+        parts = counts
+    else:
+        lo = np.minimum(counts[0], counts[1])
+        parts = np.stack((lo, counts[0] - lo, counts[1] - lo))
+    if family == "poisson":
+        mean = np.einsum("jil,krjl->kri", means, parts)
+        _check_intensities(mean)
+        sums = broadcast_draws(rng.poisson, mean)
+    else:
+        n = parts[:, :, :, None, :]
+        if family == "bernoulli":
+            draws = broadcast_draws(rng.binomial, n, means)
+        elif family == "geometric":
+            draws = np.where(n > 0, broadcast_draws(rng.negative_binomial, np.maximum(n, 1), 1.0 / (1.0 + means)), 0)
+        else:
+            raise ConfigurationError(f"unknown counting family {family!r}, expected one of {COUNTING_FAMILIES}")
+        sums = draws.sum(axis=(2, 4))
+    return sums if counts.shape[0] == 1 else sums[0] + sums[1:]
 
 
 def poisson_inverse_cdf(u: float, lam: float) -> int:

@@ -248,3 +248,27 @@ def test_boundary_flag_only_near_one():
     assert not analysis._verdict(0.999999).boundary
     assert analysis._verdict(0.999999).status == HOLDS
     assert analysis._verdict(1.000001).status == FAILS
+
+
+# --- certified radius verdicts -----------------------------------------------
+
+def test_ingarch_defective_count_matrix_holds():
+    zero = [[0.0] * 3 for _ in range(3)]
+    report = check_ingarch(ingarch([zero], [[[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]]))
+    assert report.computed["rho_sum_AB"].value == pytest.approx(0.5, abs=1e-12)
+    assert report.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)
+    assert report.verdicts["polynomial_moments"].status == HOLDS
+
+
+def test_jordan_block_is_flagged_boundary():
+    report = check_ginar(ginar([[[1.0, 1.0], [0.0, 1.0]]], family="poisson"))
+    assert report.verdicts["stationarity"] == analysis.Verdict(FAILS, boundary=True)
+
+
+def test_irreducible_knife_edge_is_flagged_boundary():
+    report = check_ingarch(ingarch([[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.5], [0.5, 0.5]]]))
+    assert report.verdicts["stationarity"].boundary
+    report = check_loglinear(loglinear([[[0.25, -0.25], [0.0, 0.0]]], [[[0.25, 0.25], [-0.5, -0.5]]]))
+    assert report.verdicts["stationarity"].boundary
+    near = check_ingarch(ingarch([[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.4999], [0.5, 0.5]]]))
+    assert near.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)

@@ -234,3 +234,16 @@ def test_strict_blocks_other_experiments_too(tmp_path):
     assert code == 2
     code = cli.main(["couple", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "2"])
     assert code == 0
+
+
+def test_value_error_from_the_engine_exits_with_a_message(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("intensities must be finite and nonnegative")
+
+    monkeypatch.setattr(cli.engine, "couple_ensemble", broken)
+    cfg = str(CONFIG_DIR / "ingarch_couple.yaml")
+    code = cli.main(["couple", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: intensities must be finite")
+    assert "Traceback" not in err

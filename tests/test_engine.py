@@ -85,6 +85,27 @@ def test_csv_export_layout(tmp_path):
     float(first[3]); float(first[4])
 
 
+def _reference_csv(path) -> bytes:
+    """Row-by-row formatter: the byte layout the chunked writer must keep."""
+    p = path.dimension
+    lines = ["t," + ",".join(f"y_{j + 1}" for j in range(p)) + "," + ",".join(f"lambda_{j + 1}" for j in range(p))]
+    for t in range(path.length):
+        ys = ",".join(str(int(v)) for v in path.counts[t])
+        lams = ",".join(repr(float(v)) for v in path.intensities[t])
+        lines.append(f"{t},{ys},{lams}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_chunked_csv_writer_matches_row_by_row_reference(tmp_path, monkeypatch):
+    path = simulate(stationary_2d(), 50, 10, master_seed=5)
+    monkeypatch.setattr(engine, "_CSV_CHUNK_ROWS", 7)  # 50 rows span eight chunks
+    path.to_csv(tmp_path / "small.csv")
+    assert (tmp_path / "small.csv").read_bytes() == _reference_csv(path)
+    ginar = simulate(GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("poisson", [1.0])), 9, 0)
+    ginar.to_csv(tmp_path / "ginar.csv")
+    assert (tmp_path / "ginar.csv").read_bytes() == _reference_csv(ginar)
+
+
 def test_csv_export_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     simulate(stationary_2d(), 500, 100, master_seed=21).to_csv(a)
@@ -175,6 +196,12 @@ def test_couple_ensemble_parallel_matches_serial():
     parallel = couple_ensemble(spec, 40, wa, wb, master_seed=9, replicates=6, jobs=3)
     assert np.array_equal(serial.mean_distances, parallel.mean_distances)
     assert serial.fitted_rate == parallel.fitted_rate
+    # Several blocks, shared out over fewer workers than blocks.
+    assert engine._blocks(130) == [(0, 64), (1, 64), (2, 2)]
+    serial = couple_ensemble(spec, 20, wa, wb, master_seed=9, replicates=130, jobs=1)
+    parallel = couple_ensemble(spec, 20, wa, wb, master_seed=9, replicates=130, jobs=2)
+    assert np.array_equal(serial.mean_distances, parallel.mean_distances)
+    assert serial.median_final_distance == parallel.median_final_distance
 
 
 def test_rate_fit_handles_immediate_coalescence():
@@ -232,11 +259,14 @@ def test_moment_log_estimate_stable_when_T_doubles():
 
 
 def test_saturation_flag_reports_heavy_domination():
-    # With delta = 2 the exponential average over Poisson(1) samples is
-    # dominated by the few largest draws at this sample size.
-    report = monte_carlo_moments(iid_poisson1(), [1.0], [2.0],
+    # With delta = 8 neighbouring counts differ by a factor e^8 in weight, so
+    # the ten largest of these 20000 Poisson(1) samples carry more than half
+    # the exponential mass unless twenty of them tie at the maximum
+    # (probability about 5e-4; at delta = 2 the share passes 1/2 only about
+    # half the time).
+    report = monte_carlo_moments(iid_poisson1(), [1.0], [8.0],
                                  T=5000, burn_in=100, replicates=4, master_seed=8)
-    expo = report.exponential[2.0]
+    expo = report.exponential[8.0]
     assert expo.top10_share > 0.5
     assert expo.saturated
 

@@ -216,3 +216,56 @@ def test_stationary_mean_rejects_negative_inputs():
         linalg.stationary_mean([-1.0], [[0.5]])
     with pytest.raises(ValueError):
         linalg.stationary_mean([1.0], [[-0.5]])
+
+
+# --- defective, reducible and knife-edge matrices ----------------------------
+
+DEFECTIVE = [[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]
+JORDAN = [[1.0, 1.0], [0.0, 1.0]]
+
+
+def test_spectral_radius_of_defective_matrices():
+    assert linalg.spectral_radius(DEFECTIVE) == pytest.approx(0.5, abs=1e-12)
+    assert linalg.spectral_radius(JORDAN) == pytest.approx(1.0, abs=1e-12)
+    m = linalg.stationary_mean([1.0, 1.0, 1.0], DEFECTIVE)
+    assert np.allclose(m - np.asarray(DEFECTIVE) @ m, 1.0)
+
+
+def test_radius_bracket_is_exact_on_triangular_matrices():
+    assert linalg.radius_bracket(DEFECTIVE) == (0.5, 0.5)
+    assert linalg.radius_bracket(JORDAN) == (1.0, 1.0)
+    assert linalg.radius_bracket([[0.0, 0.9], [0.0, 0.0]]) == (0.0, 0.0)
+
+
+def test_radius_bracket_contains_one_on_the_knife_edge():
+    lo, hi = linalg.radius_bracket([[0.5, 0.5], [0.5, 0.5]])
+    assert lo <= 1.0 <= hi
+    assert hi - lo < 1e-14
+
+
+def test_radius_bracket_takes_the_largest_strong_component():
+    # {0, 1} is irreducible with radius 0.5; {2} is reached from it but does
+    # not reach back, so it is its own block with radius 0.6.
+    m = [[0.3, 0.2, 0.0], [0.2, 0.3, 0.0], [5.0, 5.0, 0.6]]
+    assert linalg.strong_components(np.asarray(m)) == [[0, 1], [2]]
+    lo, hi = linalg.radius_bracket(m)
+    assert lo <= 0.6 <= hi and hi - lo < 1e-14
+    m[2][2] = 0.1
+    lo, hi = linalg.radius_bracket(m)
+    assert lo <= 0.5 <= hi and hi - lo < 1e-14
+
+
+def test_radius_bracket_encloses_eigenvalue_radius_of_random_matrices():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        p = int(rng.integers(1, 6))
+        m = rng.uniform(size=(p, p)) * (rng.uniform(size=(p, p)) < 0.5)
+        lo, hi = linalg.radius_bracket(m)
+        rho = linalg.spectral_radius(m)
+        assert lo - 1e-9 <= rho <= hi + 1e-9
+        assert hi - lo <= 1e-12 * max(1.0, hi)
+
+
+def test_radius_bracket_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        linalg.radius_bracket([[0.5, -0.1], [0.0, 0.5]])

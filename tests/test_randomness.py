@@ -11,9 +11,14 @@ from countsim.randomness import (
     CountingCache,
     Dependence,
     PoissonProcessPath,
+    block_rng,
     make_stream,
     poisson_inverse_cdf,
+    poisson_quantile,
     sample_count_vector,
+    shared_counts,
+    shared_poisson,
+    shared_thinning,
     thinning,
 )
 
@@ -183,9 +188,14 @@ def test_independent_marginal_means():
 
 def _chi_square_poisson(samples: np.ndarray, lam: float) -> float:
     """P-value of a chi-square GOF test against Poisson(lam)."""
+    return _chi_square(samples, scipy.stats.poisson(lam))
+
+
+def _chi_square(samples: np.ndarray, law) -> float:
+    """P-value of a chi-square GOF test against a frozen discrete scipy law."""
     n = len(samples)
-    kmax = int(scipy.stats.poisson.ppf(1 - 1e-6, lam))
-    expected = scipy.stats.poisson.pmf(np.arange(kmax + 1), lam) * n
+    kmax = int(law.ppf(1 - 1e-6))
+    expected = law.pmf(np.arange(kmax + 1)) * n
     observed = np.bincount(np.clip(samples, 0, kmax + 1).astype(int), minlength=kmax + 2)[: kmax + 1]
     observed = observed.astype(float)
     # Lump the tail into the last cell and merge cells with tiny expectation.
@@ -283,3 +293,173 @@ def test_thinning_deterministic_under_lineage():
     one = thinning(CountingCache(), (3, 1), a, "poisson", x, make_stream(12, 0, 3))
     two = thinning(CountingCache(), (3, 1), a, "poisson", x, make_stream(12, 0, 3))
     assert np.array_equal(one, two)
+
+
+# --- lockstep block primitives ------------------------------------------------
+
+def test_block_rng_is_addressed_by_seed_and_block():
+    a = block_rng(42, 0).random(20)
+    assert np.array_equal(a, block_rng(42, 0).random(20))
+    assert not np.array_equal(a, block_rng(42, 1).random(20))
+    assert not np.array_equal(a, block_rng(43, 0).random(20))
+
+
+def _uncorrelated(a: np.ndarray, b: np.ndarray) -> bool:
+    """Sample correlation within four standard errors of zero."""
+    r = np.corrcoef(a.astype(float), b.astype(float))[0, 1]
+    return abs(r) < 4.0 / math.sqrt(len(a))
+
+
+def test_shared_poisson_counts_one_process_at_both_intensities():
+    # Chain 0 has the lower intensity in coordinate 0 and the higher in 1.
+    n = 100000
+    lam = np.empty((2, n, 2))
+    lam[0], lam[1] = [2.0, 5.0], [5.0, 2.0]
+    counts = shared_poisson(block_rng(21, 0), lam)
+    low = np.concatenate([counts[0, :, 0], counts[1, :, 1]])
+    high = np.concatenate([counts[1, :, 0], counts[0, :, 1]])
+    increment = high - low
+    assert np.all(increment >= 0)
+    assert _chi_square_poisson(low, 2.0) > 0.001
+    assert _chi_square_poisson(high, 5.0) > 0.001
+    # N(hi) - N(lo) ~ Poisson(hi - lo), independent of N(lo).
+    assert _chi_square_poisson(increment, 3.0) > 0.001
+    assert _uncorrelated(low, increment)
+    # The scalar reference: a materialized unit-rate path counted at 2 and 5.
+    ref = np.empty((20000, 2))
+    for i in range(len(ref)):
+        path, stream = PoissonProcessPath(), make_stream(22, 0, i)
+        ref[i] = path.count(2.0, stream), path.count(5.0, stream)
+    cross, ref_cross = low * high, ref[:, 0] * ref[:, 1]
+    se = math.sqrt(cross.var() / len(cross) + ref_cross.var() / len(ref_cross))
+    assert abs(cross.mean() - ref_cross.mean()) < 4 * se
+    assert abs(cross.mean() - (2.0 * 5.0 + 2.0)) < 4 * cross.std() / math.sqrt(len(cross))
+
+
+def test_broadcast_draws_match_one_vectorized_call():
+    n = np.array([[0, 3], [7, 2]])
+    m = np.array([0.3, 0.9])
+    for method, params in (("poisson", (np.array([[0.5, 3.0, 12.0]]),)),
+                           ("binomial", (n, m)),
+                           ("geometric", (m,)),
+                           ("negative_binomial", (n + 1, m))):
+        small = randomness.broadcast_draws(getattr(block_rng(1, 0), method), *params)
+        assert np.array_equal(small, getattr(block_rng(1, 0), method)(*params)), method
+    lam = np.full((1, 40, 3), 2.5)
+    assert np.array_equal(shared_poisson(block_rng(1, 0), lam), block_rng(1, 0).poisson(lam))
+    shaped = randomness.broadcast_draws(block_rng(2, 0).poisson, np.array([1.0, 4.0]), shape=(3, 2))
+    assert np.array_equal(shaped, block_rng(2, 0).poisson([1.0, 4.0], size=(3, 2)))
+
+
+@pytest.mark.parametrize("family,mean,law", [
+    ("bernoulli", 0.3, lambda n: scipy.stats.binom(n, 0.3)),
+    ("poisson", 1.3, lambda n: scipy.stats.poisson(1.3 * n)),
+    ("geometric", 2.0, lambda n: scipy.stats.nbinom(n, 1.0 / 3.0)),
+], ids=["bernoulli", "poisson", "geometric"])
+def test_shared_thinning_reads_one_sequence_in_both_chains(family, mean, law):
+    # Chains read 5 and 9 terms of the same counting sequence.
+    n = 100000
+    counts = np.empty((2, n, 1, 1), dtype=np.int64)
+    counts[0], counts[1] = 5, 9
+    short, long = shared_thinning(block_rng(23, 0), family, np.array([[[mean]]]), counts)[:, :, 0]
+    extra = long - short
+    assert np.all(extra >= 0)
+    assert _chi_square(short, law(5)) > 0.001
+    assert _chi_square(long, law(9)) > 0.001
+    # The difference is a sum over the 4 extra terms, independent of the prefix.
+    assert _chi_square(extra, law(4)) > 0.001
+    assert _uncorrelated(short, extra)
+    # The scalar reference: the first 9 terms of a cached counting sequence.
+    ref = np.array([sum(CountingCache().draws((0, 1, 0, 0), 9, family, mean, make_stream(24, 0, i)))
+                    for i in range(5000)], dtype=float)
+    se = math.sqrt(long.var() / n + ref.var() / len(ref))
+    assert abs(long.mean() - ref.mean()) < 4 * se
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson", "geometric"])
+def test_shared_thinning_mean_is_the_matrix_action(family):
+    means = np.array([[[0.4, 0.3], [0.2, 0.1]], [[0.1, 0.0], [0.3, 0.2]]])  # q = 2
+    x = np.array([[[3, 2], [1, 4]], [[0, 6], [5, 1]]])  # chains x lags x coordinates
+    n = 50000
+    counts = np.repeat(x[:, None], n, axis=1)
+    sums = shared_thinning(block_rng(25, 0), family, means, counts)
+    for c in range(2):
+        target = means[0] @ x[c, 0] + means[1] @ x[c, 1]
+        se = sums[c].std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(sums[c].mean(axis=0) - target) < 4 * se)
+    zero = shared_thinning(block_rng(25, 1), family, means, np.zeros((2, 3, 2, 2), dtype=np.int64))
+    assert np.array_equal(zero, np.zeros((2, 3, 2), dtype=np.int64))
+
+
+def _survival(k: int, lam: float) -> float:
+    """P(X > k) for X ~ Poisson(lam), summed term by term in log space."""
+    top = int(lam + 60.0 * math.sqrt(lam) + 400.0)
+    return math.fsum(math.exp(-lam + i * math.log(lam) - math.lgamma(i + 1.0)) for i in range(k + 1, top))
+
+
+def test_poisson_quantile_lower_half_matches_scalar_inverse_cdf():
+    rng = np.random.default_rng(5)
+    for lam in (0.3, 1.0, 4.5, 20.0):
+        z = -np.abs(rng.standard_normal(50)) * 2.0
+        got = poisson_quantile(z, lam)
+        for score, k in zip(z, got):
+            assert k == poisson_inverse_cdf(0.5 * math.erfc(-score / math.sqrt(2.0)), lam)
+
+
+def test_poisson_quantile_upper_half_is_the_survival_quantile():
+    rng = np.random.default_rng(6)
+    for lam in (0.3, 1.0, 4.5, 20.0):
+        z = np.abs(rng.standard_normal(50)) * 2.0
+        got = poisson_quantile(z, lam)
+        for score, k in zip(z, got):
+            tail = 0.5 * math.erfc(score / math.sqrt(2.0))
+            assert _survival(int(k), lam) <= tail < (1.0 if k == 0 else _survival(int(k) - 1, lam))
+
+
+def test_poisson_quantile_tail_scores_do_not_round_to_one():
+    # Phi(9) rounds to exactly 1.0, where the scalar inverse CDF must refuse.
+    assert randomness._standard_normal_cdf(np.array([9.0]))[0] == 1.0
+    with pytest.raises(ValueError):
+        poisson_inverse_cdf(1.0, 2.0)
+    high, low = poisson_quantile([9.0, -9.0], 2.0)
+    assert low == 0
+    tail = 0.5 * math.erfc(9.0 / math.sqrt(2.0))
+    assert _survival(int(high), 2.0) <= tail < _survival(int(high) - 1, 2.0)
+    assert high < 2.0 + 40.0 * math.sqrt(2.0) + 50.0
+
+
+def test_poisson_quantile_zero_intensity_and_guards():
+    assert np.array_equal(poisson_quantile([3.0, -3.0], 0.0), [0, 0])
+    with pytest.raises(ValueError):
+        poisson_quantile([0.5], -1.0)
+    with pytest.raises(ValueError):
+        poisson_quantile([np.nan], 1.0)
+    with pytest.raises(OverflowError):
+        poisson_quantile([0.5], 1e6)  # leading term underflows
+
+
+@pytest.mark.parametrize("scheme", ["independent", "comonotone", "gaussian"])
+def test_shared_counts_marginals_and_monotone_coupling(scheme):
+    dep = Dependence("gaussian", [[1.0, 0.6], [0.6, 1.0]]) if scheme == "gaussian" else Dependence(scheme)
+    n = 100000
+    lam = np.empty((2, n, 2))
+    lam[0], lam[1] = [2.0, 5.0], [3.5, 6.0]
+    counts = shared_counts(block_rng(26, 0), dep, lam)
+    for c in range(2):
+        for j in range(2):
+            assert _chi_square_poisson(counts[c, :, j], lam[c, 0, j]) > 0.001
+    # Both chains read the same noise, so the higher intensity never counts less.
+    assert np.all(counts[1] >= counts[0])
+    if scheme == "comonotone":
+        equal = shared_counts(block_rng(27, 0), dep, np.full((1, 2000, 2), 3.0))
+        assert np.array_equal(equal[0, :, 0], equal[0, :, 1])
+
+
+def test_shared_counts_intensity_guards():
+    for dep in (Dependence(), Dependence("comonotone")):
+        with pytest.raises(DivergenceError):
+            shared_counts(block_rng(1, 0), dep, np.full((1, 1, 1), 2e18))
+        with pytest.raises(ValueError):
+            shared_counts(block_rng(1, 0), dep, np.full((1, 1, 1), np.nan))
+    with pytest.raises(DivergenceError):  # the copula's inverse CDF cannot reach this far
+        shared_counts(block_rng(1, 0), Dependence("comonotone"), np.full((1, 1, 1), 1e6))
