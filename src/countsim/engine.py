@@ -43,6 +43,8 @@ BLOCK_SIZE = 64
 
 _COUNT_LIMIT = float(2**62)
 _CSV_CHUNK_ROWS = 4096
+# Time steps of l1 sizes a moment block holds before folding them in.
+_MOMENT_CHUNK = 1024
 
 
 def _blocks(replicates: int) -> list[tuple[int, int]]:
@@ -300,31 +302,67 @@ class MomentReport:
     lineage: tuple[int, ...] = field(default=())
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + float(np.log(np.sum(np.exp(values - m))))
+def _logsumexp(values: np.ndarray, axis=None):
+    m = np.max(values, axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(values - m), axis=axis))
 
 
-def _moment_summary(sizes: np.ndarray, r_values, delta_values):
-    """Per-replicate sums behind the pooled estimates, from one row of l1 sizes."""
-    poly = {r: (float(np.mean(sizes**r)), float(np.std(sizes**r, ddof=1))) for r in r_values}
-    expo = {}
-    for delta in delta_values:
-        scaled = delta * sizes
-        top10 = np.sort(scaled)[-10:]
-        expo[delta] = (_logsumexp(scaled), _logsumexp(2.0 * scaled), top10.tolist())
-    return len(sizes), poly, expo
+class _MomentFold:
+    """Per-replicate statistics of a block's l1 sizes, folded in time chunks.
+
+    For every replicate it keeps the mean and the sum of squared deviations
+    of ``s ** r`` (chunk statistics merged as in Chan, Golub & LeVeque), the
+    log-sum-exp of ``delta * s`` and of ``2 * delta * s`` and the ten largest
+    ``delta * s``, so memory stays O(replicates * chunk) for any path length.
+    """
+
+    def __init__(self, replicates: int, r_values, delta_values):
+        self.replicates, self.n = replicates, 0
+        self.mean = {r: np.zeros(replicates) for r in r_values}
+        self.m2 = {r: np.zeros(replicates) for r in r_values}
+        self.lse = {d: np.full((2, replicates), -np.inf) for d in delta_values}
+        self.top = {d: np.empty((replicates, 0)) for d in delta_values}
+
+    def add(self, sizes: np.ndarray) -> None:
+        """Fold in a ``(replicates, k)`` chunk of l1 sizes."""
+        k = sizes.shape[1]
+        n = self.n + k
+        for r in self.mean:
+            x = sizes**r
+            mean = x.mean(axis=1)
+            gap = mean - self.mean[r]
+            self.m2[r] += np.sum((x - mean[:, None]) ** 2, axis=1) + gap**2 * (self.n * k / n)
+            self.mean[r] += gap * (k / n)
+        for d in self.lse:
+            scaled = d * sizes
+            chunk_lse = np.stack((_logsumexp(scaled, axis=1), _logsumexp(2.0 * scaled, axis=1)))
+            self.lse[d] = np.logaddexp(self.lse[d], chunk_lse)
+            self.top[d] = np.sort(np.concatenate((self.top[d], scaled), axis=1), axis=1)[:, -10:]
+        self.n = n
+
+    def summaries(self) -> list:
+        """One ``(n, {r: (mean, std)}, {delta: (lse, lse of 2x, top 10)})`` per replicate."""
+        std = {r: np.sqrt(self.m2[r] / (self.n - 1)) for r in self.m2}  # NaN for one sample, as np.std
+        return [(self.n,
+                 {r: (float(self.mean[r][i]), float(std[r][i])) for r in self.mean},
+                 {d: (float(self.lse[d][0, i]), float(self.lse[d][1, i]), self.top[d][i].tolist())
+                  for d in self.lse})
+                for i in range(self.replicates)]
 
 
 def _moment_block(spec: ModelSpec, T: int, burn_in: int, replicates: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """``(replicates, T)`` l1 sizes of one block after burn-in."""
-    sizes = np.empty((replicates, T))
+                  rng: np.random.Generator, r_values, delta_values) -> list:
+    """Per-replicate moment summaries of one block after burn-in."""
+    fold = _MomentFold(replicates, r_values, delta_values)
+    chunk = np.empty((replicates, min(T, _MOMENT_CHUNK)))
     state = block_state(spec, [default_window(spec)], replicates)
     for t, _, y, _ in _lockstep(spec, state, T + burn_in, rng):
         if t >= burn_in:
-            sizes[:, t - burn_in] = y[0].sum(axis=1)
-    return sizes
+            i = (t - burn_in) % chunk.shape[1]
+            chunk[:, i] = y[0].sum(axis=1)
+            if i == chunk.shape[1] - 1 or t == T + burn_in - 1:
+                fold.add(chunk[:, :i + 1])
+    return fold.summaries()
 
 
 def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
@@ -398,8 +436,7 @@ def _couple_task(args) -> np.ndarray:
 
 def _moment_task(args) -> list:
     spec, T, burn_in, size, master_seed, block, r_values, delta_values = args
-    return [_moment_summary(row, r_values, delta_values)
-            for row in _moment_block(spec, T, burn_in, size, block_rng(master_seed, block))]
+    return _moment_block(spec, T, burn_in, size, block_rng(master_seed, block), r_values, delta_values)
 
 
 def _map_blocks(fn, tasks, jobs: int) -> list:

@@ -123,6 +123,11 @@ def radius_bracket(m) -> tuple[float, float]:
     block's numerical Perron vector they are tight, and they are widened by
     the rounding of ``Bx``.  A 1 x 1 block is its own radius, exactly.
     Unlike eigenvalues, these bounds stay accurate for defective matrices.
+
+    The Perron root is the eigenvalue with the largest real part: on a
+    periodic block every peripheral eigenvalue has modulus ``rho``, but only
+    the Perron root is real and positive.  Its eigenvector is a complex
+    multiple of a positive vector, so ``x`` is its entrywise modulus.
     """
     m = _require_square(as_matrix(m), "matrix")
     if np.any(m < 0):
@@ -134,7 +139,7 @@ def radius_bracket(m) -> tuple[float, float]:
             block_lo = block_hi = float(block[0, 0])
         else:
             values, vectors = np.linalg.eig(block)
-            x = np.maximum(np.abs(vectors[:, np.argmax(np.abs(values))].real), np.finfo(float).tiny)
+            x = np.maximum(np.abs(vectors[:, np.argmax(values.real)]), np.finfo(float).tiny)
             ratios = (block @ x) / x
             slack = _BRACKET_SLACK * len(component)
             block_lo = float(ratios.min()) * (1.0 - slack)

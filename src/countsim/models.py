@@ -30,7 +30,6 @@ from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patch
     CountingCache,
     Dependence,
     Stream,
-    broadcast_draws,
     make_stream,
     shared_counts,
     shared_thinning,
@@ -100,9 +99,9 @@ class ImmigrationSpec:
         """One vector, or a ``(replicates, p)`` array of independent ones."""
         shape = self.values.shape if replicates is None else (replicates,) + self.values.shape
         if self.family == "poisson":
-            return broadcast_draws(rng.poisson, self.values, shape=shape).astype(np.int64)
+            return rng.poisson(self.values, size=shape)
         if self.family == "geometric":
-            return (broadcast_draws(rng.geometric, 1.0 / (1.0 + self.values), shape=shape) - 1).astype(np.int64)
+            return rng.geometric(1.0 / (1.0 + self.values), size=shape) - 1
         return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 

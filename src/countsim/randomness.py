@@ -41,9 +41,6 @@ COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 #: Intensities above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
 
-# Arrays up to this size are drawn element by element (see broadcast_draws).
-_SMALL_DRAW = 8
-
 
 def _splitmix64(x: int) -> int:
     """One SplitMix64 output step (Steele, Lea & Flood constants)."""
@@ -110,19 +107,6 @@ def _check_intensities(lam: np.ndarray) -> None:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
 
 
-def broadcast_draws(method, *params, shape=None) -> np.ndarray:
-    """``method(*params)`` for a generator method, broadcast to ``shape`` if given.
-
-    Results of at most a few entries are drawn element by element: the same
-    values as one vectorized call, without its per-call overhead.
-    """
-    grid = np.broadcast(*params) if shape is None else np.broadcast(*params, np.empty(shape))
-    if grid.size > _SMALL_DRAW:
-        return method(*params) if shape is None else method(*params, size=grid.shape)
-    k = len(params)
-    return np.array([method(*args[:k]) for args in grid], dtype=np.int64).reshape(grid.shape)
-
-
 def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     """Counts of one unit-rate Poisson process per entry, at each chain's intensity.
 
@@ -132,10 +116,10 @@ def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     is Poisson at its own intensity and the counts are monotone in it.
     """
     if lam.shape[0] == 1:
-        return broadcast_draws(rng.poisson, lam)
+        return rng.poisson(lam)
     lo = np.minimum(lam[0], lam[1])
-    base = broadcast_draws(rng.poisson, lo)
-    extra = broadcast_draws(rng.poisson, np.maximum(lam[0], lam[1]) - lo)
+    base = rng.poisson(lo)
+    extra = rng.poisson(np.maximum(lam[0], lam[1]) - lo)
     first_higher = lam[0] > lam[1]
     return np.stack((base + np.where(first_higher, extra, 0),
                      base + np.where(first_higher, 0, extra)))
@@ -235,13 +219,13 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
     if family == "poisson":
         mean = np.einsum("jil,krjl->kri", means, parts)
         _check_intensities(mean)
-        sums = broadcast_draws(rng.poisson, mean)
+        sums = rng.poisson(mean)
     else:
         n = parts[:, :, :, None, :]
         if family == "bernoulli":
-            draws = broadcast_draws(rng.binomial, n, means)
+            draws = rng.binomial(n, means)
         elif family == "geometric":
-            draws = np.where(n > 0, broadcast_draws(rng.negative_binomial, np.maximum(n, 1), 1.0 / (1.0 + means)), 0)
+            draws = np.where(n > 0, rng.negative_binomial(np.maximum(n, 1), 1.0 / (1.0 + means)), 0)
         else:
             raise ConfigurationError(f"unknown counting family {family!r}, expected one of {COUNTING_FAMILIES}")
         sums = draws.sum(axis=(2, 4))

@@ -272,3 +272,11 @@ def test_irreducible_knife_edge_is_flagged_boundary():
     assert report.verdicts["stationarity"].boundary
     near = check_ingarch(ingarch([[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.4999], [0.5, 0.5]]]))
     assert near.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)
+
+
+@pytest.mark.parametrize("period", [3, 4, 5])
+def test_periodic_count_matrix_holds_without_boundary(period):
+    cycle = (0.9 * np.roll(np.eye(period), 1, axis=1)).tolist()
+    report = check_ingarch(ingarch([np.zeros((period, period)).tolist()], [cycle]))
+    assert report.computed["rho_sum_AB"].value == pytest.approx(0.9, abs=1e-12)
+    assert report.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)

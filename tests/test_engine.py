@@ -269,6 +269,26 @@ def test_saturation_flag_reports_heavy_domination():
     expo = report.exponential[8.0]
     assert expo.top10_share > 0.5
     assert expo.saturated
+    # Near the threshold the flag still reads off the share.
+    near = monte_carlo_moments(iid_poisson1(), [1.0], [2.0], T=5000, burn_in=100,
+                               replicates=4, master_seed=8).exponential[2.0]
+    assert near.saturated == (near.top10_share > 0.5)
+
+
+def test_moment_fold_over_chunks_matches_whole_path_statistics():
+    from countsim.engine import _MomentFold, _logsumexp
+
+    sizes = np.random.default_rng(14).poisson(6.0, size=(3, 2500)).astype(float)
+    fold = _MomentFold(3, [1.0, 2.5], [0.3])
+    for start in range(0, 2500, 1024):
+        fold.add(sizes[:, start:start + 1024])
+    for row, (n, poly, expo) in zip(sizes, fold.summaries()):
+        assert n == 2500
+        for r in (1.0, 2.5):
+            assert poly[r] == pytest.approx((np.mean(row**r), np.std(row**r, ddof=1)), rel=1e-12)
+        lse, lse2, top = expo[0.3]
+        assert (lse, lse2) == pytest.approx((_logsumexp(0.3 * row), _logsumexp(0.6 * row)), rel=1e-12)
+        assert top == np.sort(0.3 * row)[-10:].tolist()
 
 
 def test_moments_reproducible_and_parallel_consistent():

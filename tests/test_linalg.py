@@ -269,3 +269,17 @@ def test_radius_bracket_encloses_eigenvalue_radius_of_random_matrices():
 def test_radius_bracket_rejects_negative_entries():
     with pytest.raises(ValueError):
         linalg.radius_bracket([[0.5, -0.1], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("period", [3, 4, 5])
+def test_radius_bracket_is_tight_on_periodic_blocks(period):
+    # Every peripheral eigenvalue of 0.9 times a cycle has modulus 0.9; the
+    # bracket must come from the real Perron root, not whichever one is
+    # rounded largest.
+    m = 0.9 * np.roll(np.eye(period), 1, axis=1)
+    lo, hi = linalg.radius_bracket(m)
+    assert lo <= 0.9 <= hi and hi - lo < 1e-14
+    weighted = m * np.arange(1.0, period + 1.0)[:, None]  # radius = 0.9 * (period!) ** (1 / period)
+    lo, hi = linalg.radius_bracket(weighted)
+    rho = 0.9 * math.factorial(period) ** (1.0 / period)
+    assert lo <= rho * (1 + 1e-14) and rho * (1 - 1e-14) <= hi and hi - lo < 1e-13 * rho

@@ -336,21 +336,6 @@ def test_shared_poisson_counts_one_process_at_both_intensities():
     assert abs(cross.mean() - (2.0 * 5.0 + 2.0)) < 4 * cross.std() / math.sqrt(len(cross))
 
 
-def test_broadcast_draws_match_one_vectorized_call():
-    n = np.array([[0, 3], [7, 2]])
-    m = np.array([0.3, 0.9])
-    for method, params in (("poisson", (np.array([[0.5, 3.0, 12.0]]),)),
-                           ("binomial", (n, m)),
-                           ("geometric", (m,)),
-                           ("negative_binomial", (n + 1, m))):
-        small = randomness.broadcast_draws(getattr(block_rng(1, 0), method), *params)
-        assert np.array_equal(small, getattr(block_rng(1, 0), method)(*params)), method
-    lam = np.full((1, 40, 3), 2.5)
-    assert np.array_equal(shared_poisson(block_rng(1, 0), lam), block_rng(1, 0).poisson(lam))
-    shaped = randomness.broadcast_draws(block_rng(2, 0).poisson, np.array([1.0, 4.0]), shape=(3, 2))
-    assert np.array_equal(shaped, block_rng(2, 0).poisson([1.0, 4.0], size=(3, 2)))
-
-
 @pytest.mark.parametrize("family,mean,law", [
     ("bernoulli", 0.3, lambda n: scipy.stats.binom(n, 0.3)),
     ("poisson", 1.3, lambda n: scipy.stats.poisson(1.3 * n)),
