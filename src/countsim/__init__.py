@@ -38,18 +38,7 @@ from .models import (
     default_window,
     step,
 )
-from .randomness import (
-    CountingCache,
-    CountNoise,
-    Dependence,
-    PoissonProcessPath,
-    Stream,
-    make_stream,
-    path_count,
-    poisson_inverse_cdf,
-    sample_count_vector,
-    thinning,
-)
+from .randomness import Dependence
 
 __all__ = [
     "__version__",
@@ -83,14 +72,5 @@ __all__ = [
     "LogLinearSpec",
     "default_window",
     "step",
-    "CountingCache",
-    "CountNoise",
     "Dependence",
-    "PoissonProcessPath",
-    "Stream",
-    "make_stream",
-    "path_count",
-    "poisson_inverse_cdf",
-    "sample_count_vector",
-    "thinning",
 ]

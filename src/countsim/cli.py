@@ -23,7 +23,6 @@ from .config import (
     MomentsExperiment,
     SimulateExperiment,
     parse_config_file,
-    window_from_config,
 )
 from .errors import ConfigurationError, DivergenceError, StationarityError
 
@@ -158,11 +157,8 @@ def _run_simulate(config: ExperimentConfig, exp: SimulateExperiment, out_dir: st
 
 
 def _run_couple(config: ExperimentConfig, exp: CoupleExperiment, jobs: int):
-    spec = config.model
     ensemble = engine.couple_ensemble(
-        spec, exp.n,
-        window_from_config(spec, exp.window_a),
-        window_from_config(spec, exp.window_b),
+        config.model, exp.n, exp.window_a, exp.window_b,
         master_seed=config.seed, replicates=exp.replicates, jobs=jobs,
     )
     results = {

@@ -2,39 +2,35 @@
 
 One config file describes exactly one model and one experiment.  A master
 seed is mandatory; there is no wall-clock fallback, reproducibility is a
-feature.  Validation collects every problem (with its path into the
-document) instead of stopping at the first, and ``to_dict`` emits the fully
-resolved config that reports embed, so any report is self-reproducing.
+feature.  This module maps the document onto the spec constructors, which
+own every model and window rule: the model mapping's keys are the spec's
+field names, and problems come back with their path into the document.
+Validation collects every problem instead of stopping at the first, and
+``to_dict`` emits the fully resolved config that reports embed, so any
+report is self-reproducing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
 
 from .engine import DEFAULT_BURN_IN, DEFAULT_REPLICATES
-from .errors import ConfigurationError
+from .errors import ConfigError, Problems
 from .models import (
+    WINDOW_KEYS,
     GinarSpec,
-    ImmigrationSpec,
     IngarchSpec,
     LogLinearSpec,
     ModelSpec,
+    from_mapping,
     validate_window,
 )
-from .randomness import COUNTING_FAMILIES, Dependence
 
 EXPERIMENT_KINDS = ("check", "simulate", "couple", "moments")
-
-
-class ConfigError(ConfigurationError):
-    """Carries every validation problem found in one pass."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
+MODEL_SPECS = {"ginar": GinarSpec, "ingarch": IngarchSpec, "loglinear": LogLinearSpec}
 
 
 @dataclass(frozen=True)
@@ -83,22 +79,10 @@ class ExperimentConfig:
         """Fully resolved, normalized form (defaults filled, plain types)."""
         return {
             "seed": self.seed,
-            "model": _model_to_dict(self.model),
-            "experiment": _experiment_to_dict(self.experiment),
+            "model": {"kind": self.model.kind, **_plain(self.model)},
+            "experiment": _plain(self.experiment),
             "output": {"directory": self.output_dir, "csv": self.write_csv},
         }
-
-
-class _Collector:
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def add(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
-
-    def raise_if_any(self) -> None:
-        if self.problems:
-            raise ConfigError(self.problems)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -120,7 +104,7 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    errs = _Collector()
+    errs = Problems()
 
     known = {"seed", "model", "experiment", "output"}
     for key in raw:
@@ -140,7 +124,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     if not isinstance(model_raw, dict):
         errs.add("model", "a model mapping is required")
     else:
-        model = _validate_model(model_raw, errs)
+        model = _model(model_raw, errs)
 
     exp_raw = raw.get("experiment")
     experiment = None
@@ -170,153 +154,12 @@ def _validate(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(model, experiment, seed, output_dir, write_csv)
 
 
-def _matrix_list(value, q: int, p: int, path: str, errs: _Collector, nonnegative: bool):
-    if not isinstance(value, list) or len(value) != q:
-        errs.add(path, f"expected a list of {q} matrices")
-        return None
-    mats = []
-    ok = True
-    for idx, item in enumerate(value):
-        arr = None
-        try:
-            arr = np.asarray(item, dtype=float)
-        except (TypeError, ValueError):
-            pass
-        if arr is None or arr.shape != (p, p):
-            errs.add(f"{path}[{idx}]", f"expected a {p}x{p} matrix of numbers")
-            ok = False
-            continue
-        if not np.all(np.isfinite(arr)):
-            errs.add(f"{path}[{idx}]", "contains non-finite entries")
-            ok = False
-            continue
-        if nonnegative:
-            bad = np.argwhere(arr < 0)
-            if bad.size:
-                i, j = bad[0]
-                errs.add(f"{path}[{idx}][{i}][{j}]", f"negative entry {arr[i, j]}")
-                ok = False
-                continue
-        mats.append(arr)
-    return mats if ok else None
-
-
-def _vector(value, p: int, path: str, errs: _Collector, nonnegative: bool = True):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (p,):
-        errs.add(path, f"expected a vector of {p} numbers")
-        return None
-    if not np.all(np.isfinite(arr)):
-        errs.add(path, "contains non-finite entries")
-        return None
-    if nonnegative and np.any(arr < 0):
-        errs.add(path, "entries must be nonnegative")
-        return None
-    return arr
-
-
-def _validate_model(raw: dict, errs: _Collector) -> ModelSpec | None:
+def _model(raw: dict, errs: Problems) -> ModelSpec | None:
     kind = raw.get("kind")
-    if kind not in ("ginar", "ingarch", "loglinear"):
-        errs.add("model.kind", f"expected one of ginar/ingarch/loglinear, got {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_SPECS:
+        errs.add("model.kind", f"expected one of {'/'.join(MODEL_SPECS)}, got {kind!r}")
         return None
-    p = raw.get("p")
-    q = raw.get("q", 1)
-    if not isinstance(p, int) or p < 1:
-        errs.add("model.p", "dimension must be a positive integer")
-        return None
-    if not isinstance(q, int) or q < 1:
-        errs.add("model.q", "order must be a positive integer")
-        return None
-
-    try:
-        if kind == "ginar":
-            return _validate_ginar(raw, p, q, errs)
-        if kind == "ingarch":
-            return _validate_ingarch(raw, p, q, errs)
-        return _validate_loglinear(raw, p, q, errs)
-    except ConfigurationError as exc:
-        # Spec constructors re-check their invariants; surface any miss.
-        errs.add("model", str(exc))
-        return None
-
-
-def _validate_ginar(raw, p, q, errs):
-    mats = _matrix_list(raw.get("mean_matrices"), q, p, "model.mean_matrices", errs, nonnegative=True)
-    family = raw.get("counting_family", "bernoulli")
-    if family not in COUNTING_FAMILIES:
-        errs.add("model.counting_family", f"expected one of {COUNTING_FAMILIES}, got {family!r}")
-        family = None
-    if mats is not None and family == "bernoulli":
-        for idx, m in enumerate(mats):
-            bad = np.argwhere(m > 1.0)
-            if bad.size:
-                i, j = bad[0]
-                errs.add(f"model.mean_matrices[{idx}][{i}][{j}]",
-                         f"mean {m[i, j]} exceeds 1, invalid for the bernoulli family")
-                mats = None
-                break
-    imm_raw = raw.get("immigration")
-    immigration = None
-    if not isinstance(imm_raw, dict):
-        errs.add("model.immigration", "an immigration mapping {family, values} is required")
-    else:
-        imm_family = imm_raw.get("family")
-        values = _vector(imm_raw.get("values"), p, "model.immigration.values", errs)
-        if imm_family not in ("poisson", "geometric", "constant"):
-            errs.add("model.immigration.family",
-                     f"expected one of poisson/geometric/constant, got {imm_family!r}")
-        elif values is not None:
-            if imm_family == "constant" and np.any(values != np.floor(values)):
-                errs.add("model.immigration.values", "constant immigration requires integers")
-            else:
-                immigration = ImmigrationSpec(imm_family, values)
-    if mats is None or family is None or immigration is None:
-        return None
-    return GinarSpec(p, q, tuple(mats), family, immigration)
-
-
-def _validate_dependence(raw, p, errs) -> Dependence | None:
-    dep_raw = raw.get("dependence")
-    if dep_raw is None:
-        return Dependence("independent")
-    if not isinstance(dep_raw, dict):
-        errs.add("model.dependence", "expected a mapping {scheme, correlation?}")
-        return None
-    scheme = dep_raw.get("scheme", "independent")
-    corr = dep_raw.get("correlation")
-    try:
-        dep = Dependence(scheme, corr)
-    except ConfigurationError as exc:
-        errs.add("model.dependence", str(exc))
-        return None
-    if dep.correlation is not None and dep.correlation.shape != (p, p):
-        errs.add("model.dependence.correlation", f"expected a {p}x{p} matrix")
-        return None
-    return dep
-
-
-def _validate_ingarch(raw, p, q, errs):
-    d = _vector(raw.get("intensity_offset"), p, "model.intensity_offset", errs)
-    a = _matrix_list(raw.get("lambda_matrices"), q, p, "model.lambda_matrices", errs, nonnegative=True)
-    b = _matrix_list(raw.get("count_matrices"), q, p, "model.count_matrices", errs, nonnegative=True)
-    dep = _validate_dependence(raw, p, errs)
-    if d is None or a is None or b is None or dep is None:
-        return None
-    return IngarchSpec(p, q, d, tuple(a), tuple(b), dep)
-
-
-def _validate_loglinear(raw, p, q, errs):
-    d = _vector(raw.get("offset"), p, "model.offset", errs, nonnegative=False)
-    a = _matrix_list(raw.get("mu_matrices"), q, p, "model.mu_matrices", errs, nonnegative=False)
-    b = _matrix_list(raw.get("logcount_matrices"), q, p, "model.logcount_matrices", errs, nonnegative=False)
-    dep = _validate_dependence(raw, p, errs)
-    if d is None or a is None or b is None or dep is None:
-        return None
-    return LogLinearSpec(p, q, d, tuple(a), tuple(b), dep)
+    return errs.nest("model", lambda: from_mapping(MODEL_SPECS[kind], {"q": 1, **raw}))
 
 
 def _positive_int(raw, key, path, errs, default=None, minimum=1):
@@ -330,7 +173,7 @@ def _positive_int(raw, key, path, errs, default=None, minimum=1):
     return value
 
 
-def _validate_experiment(raw: dict, model: ModelSpec | None, errs: _Collector):
+def _validate_experiment(raw: dict, model: ModelSpec | None, errs: Problems):
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
         errs.add("experiment.kind", f"expected one of {EXPERIMENT_KINDS}, got {kind!r}")
@@ -354,11 +197,11 @@ def _validate_experiment(raw: dict, model: ModelSpec | None, errs: _Collector):
         delta_values = raw.get("delta_values")
         ok = True
         if not isinstance(r_values, list) or not r_values \
-                or any(not isinstance(v, (int, float)) or v < 1 for v in r_values):
+                or any(not _number(v) or v < 1 for v in r_values):
             errs.add("experiment.r_values", "expected a nonempty list of numbers >= 1")
             ok = False
         if not isinstance(delta_values, list) or not delta_values \
-                or any(not isinstance(v, (int, float)) or v <= 0 for v in delta_values):
+                or any(not _number(v) or v <= 0 for v in delta_values):
             errs.add("experiment.delta_values", "expected a nonempty list of numbers > 0")
             ok = False
         if T is None or burn_in is None or replicates is None or not ok:
@@ -369,126 +212,38 @@ def _validate_experiment(raw: dict, model: ModelSpec | None, errs: _Collector):
     n = _positive_int(raw, "n", "experiment.n", errs, minimum=10)
     replicates = _positive_int(raw, "replicates", "experiment.replicates", errs,
                                default=DEFAULT_REPLICATES)
-    wa = _validate_window_config(raw.get("window_a"), model, "experiment.window_a", errs)
-    wb = _validate_window_config(raw.get("window_b"), model, "experiment.window_b", errs)
+    wa = _window(raw.get("window_a"), model, "experiment.window_a", errs)
+    wb = _window(raw.get("window_b"), model, "experiment.window_b", errs)
     if n is None or replicates is None or wa is None or wb is None:
         return None
     return CoupleExperiment(n, wa, wb, replicates)
 
 
-def _validate_window_config(raw, model: ModelSpec | None, path: str, errs: _Collector):
-    """Normalize a window description and check it against the model."""
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _window(raw, model: ModelSpec | None, path: str, errs: Problems) -> dict | None:
+    """A window mapping, checked against the model and written in plain types."""
     if model is None:
         return None
     if not isinstance(raw, dict):
         errs.add(path, "expected a window mapping")
         return None
-    counts = raw.get("counts")
-    q, p = model.q, model.p
-    if not isinstance(counts, list) or len(counts) != q:
-        errs.add(f"{path}.counts", f"expected {q} count vectors (most recent lag first)")
+    if errs.nest(path, lambda: validate_window(model, raw)) is None:
         return None
-    normalized = {"counts": []}
-    for idx, row in enumerate(counts):
-        vec = _vector(row, p, f"{path}.counts[{idx}]", errs)
-        if vec is None:
-            return None
-        if np.any(vec != np.floor(vec)):
-            errs.add(f"{path}.counts[{idx}]", "counts must be integers")
-            return None
-        normalized["counts"].append([int(v) for v in vec])
-    second_key = {"ginar": None, "ingarch": "intensities", "loglinear": "mus"}[model.kind]
-    if second_key is not None:
-        rows = raw.get(second_key)
-        if not isinstance(rows, list) or len(rows) != q:
-            errs.add(f"{path}.{second_key}", f"expected {q} vectors (most recent lag first)")
-            return None
-        normalized[second_key] = []
-        for idx, row in enumerate(rows):
-            vec = _vector(row, p, f"{path}.{second_key}[{idx}]", errs,
-                          nonnegative=(model.kind == "ingarch"))
-            if vec is None:
-                return None
-            normalized[second_key].append([float(v) for v in vec])
-    try:
-        validate_window(model, window_from_config(model, normalized))
-    except ConfigurationError as exc:
-        errs.add(path, str(exc))
-        return None
-    return normalized
+    return {name: [[int(v) if name == "counts" else float(v) for v in np.asarray(row, dtype=float)]
+                   for row in raw[name]]
+            for name in WINDOW_KEYS[model.kind]}
 
 
-def window_from_config(spec: ModelSpec, window: dict) -> list:
-    """Convert a normalized window mapping into the model's internal state."""
-    counts = [np.asarray(row, dtype=np.int64) for row in window["counts"]]
-    if spec.kind == "ginar":
-        return counts
-    if spec.kind == "ingarch":
-        lams = [np.asarray(row, dtype=float) for row in window["intensities"]]
-        return list(zip(counts, lams))
-    mus = [np.asarray(row, dtype=float) for row in window["mus"]]
-    return [(np.log1p(c.astype(float)), mu) for c, mu in zip(counts, mus)]
-
-
-def _model_to_dict(spec: ModelSpec) -> dict:
-    if isinstance(spec, GinarSpec):
-        return {
-            "kind": "ginar",
-            "p": spec.p,
-            "q": spec.q,
-            "mean_matrices": [m.tolist() for m in spec.mean_matrices],
-            "counting_family": spec.counting_family,
-            "immigration": {
-                "family": spec.immigration.family,
-                "values": spec.immigration.values.tolist(),
-            },
-        }
-    if isinstance(spec, IngarchSpec):
-        return {
-            "kind": "ingarch",
-            "p": spec.p,
-            "q": spec.q,
-            "intensity_offset": spec.intensity_offset.tolist(),
-            "lambda_matrices": [m.tolist() for m in spec.lambda_matrices],
-            "count_matrices": [m.tolist() for m in spec.count_matrices],
-            "dependence": _dependence_to_dict(spec.dependence),
-        }
-    return {
-        "kind": "loglinear",
-        "p": spec.p,
-        "q": spec.q,
-        "offset": spec.offset.tolist(),
-        "mu_matrices": [m.tolist() for m in spec.mu_matrices],
-        "logcount_matrices": [m.tolist() for m in spec.logcount_matrices],
-        "dependence": _dependence_to_dict(spec.dependence),
-    }
-
-
-def _dependence_to_dict(dep: Dependence) -> dict:
-    out = {"scheme": dep.kind}
-    if dep.correlation is not None:
-        out["correlation"] = dep.correlation.tolist()
-    return out
-
-
-def _experiment_to_dict(exp: Experiment) -> dict:
-    if isinstance(exp, CheckExperiment):
-        return {"kind": "check"}
-    if isinstance(exp, SimulateExperiment):
-        return {"kind": "simulate", "T": exp.T, "burn_in": exp.burn_in}
-    if isinstance(exp, CoupleExperiment):
-        return {
-            "kind": "couple",
-            "n": exp.n,
-            "replicates": exp.replicates,
-            "window_a": exp.window_a,
-            "window_b": exp.window_b,
-        }
-    return {
-        "kind": "moments",
-        "r_values": list(exp.r_values),
-        "delta_values": list(exp.delta_values),
-        "T": exp.T,
-        "burn_in": exp.burn_in,
-        "replicates": exp.replicates,
-    }
+def _plain(value):
+    """A spec or experiment as plain YAML types, keyed by field name; None fields are left out."""
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _plain(item) for name, item in items if item is not None}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value

@@ -19,17 +19,21 @@ are measured where contraction actually happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, Problems
 from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patches it here)
     COUNTING_FAMILIES,
     CountingCache,
     Dependence,
     Stream,
+    checked_array,
+    flag_entry,
     make_stream,
     shared_counts,
     shared_thinning,
@@ -41,26 +45,92 @@ MU_LIMIT = 700.0
 
 IMMIGRATION_FAMILIES = ("poisson", "geometric", "constant")
 
+#: The per-lag lists of a window given as a mapping, by family.
+WINDOW_KEYS = {"ginar": ("counts",), "ingarch": ("counts", "intensities"), "loglinear": ("counts", "mus")}
+
+# The rule each window series obeys; ``log1p_counts`` are the log-linear
+# window's ``log(1 + counts)``.
+_SERIES_RULES = {"counts": "count", "intensities": "nonnegative", "log1p_counts": "nonnegative", "mus": "real"}
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _check_matrices(mats, q: int, p: int, label: str, nonnegative: bool) -> tuple[np.ndarray, ...]:
-    if len(mats) != q:
-        raise ConfigurationError(f"{label}: expected {q} matrices, got {len(mats)}")
-    out = []
-    for idx, m in enumerate(mats):
-        arr = np.asarray(m, dtype=float)
-        if arr.shape != (p, p):
-            raise ConfigurationError(f"{label}[{idx}]: expected shape ({p}, {p}), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError(f"{label}[{idx}] contains non-finite entries")
-        if nonnegative and np.any(arr < 0):
-            raise ConfigurationError(f"{label}[{idx}] has negative entries")
-        out.append(_freeze(arr))
-    return tuple(out)
+def from_mapping(cls, mapping: Mapping):
+    """A spec built from the mapping's entries named like its fields.
+
+    A missing field without a default is passed as None, so the spec's own
+    check reports it; other keys are ignored.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in mapping:
+            kwargs[f.name] = mapping[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            kwargs[f.name] = None
+    return cls(**kwargs)
+
+
+def _nested(cls, value, path: str, problems: Problems):
+    """``value`` as a ``cls``: an instance, or a mapping of its fields (None: empty)."""
+    if isinstance(value, cls):
+        return value
+    if value is None or isinstance(value, Mapping):
+        return problems.nest(path, lambda: from_mapping(cls, value or {}))
+    problems.add(path, f"expected a {cls.__name__} or a mapping of its fields")
+    return None
+
+
+def _dimensions(spec, problems: Problems) -> bool:
+    """Whether ``p`` and ``q`` are positive integers (booleans are not)."""
+    ok = True
+    for name, what in (("p", "dimension"), ("q", "order")):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            problems.add(name, f"{what} must be a positive integer")
+            ok = False
+    return ok
+
+
+def _per_lag(value, spec, path: str, expected: str, problems: Problems) -> list | None:
+    """``value`` as a list of ``q`` items, or None after filing a problem."""
+    try:
+        items = list(value)
+    except TypeError:
+        items = None
+    if items is None or len(items) != spec.q:
+        problems.add(path, f"expected {expected}")
+        return None
+    return items
+
+
+def _matrices(spec, name: str, rule: str, problems: Problems) -> tuple[np.ndarray, ...] | None:
+    """Field ``name`` as ``q`` frozen ``p x p`` matrices obeying ``rule``."""
+    items = _per_lag(getattr(spec, name), spec, name, f"a list of {spec.q} matrices", problems)
+    if items is None:
+        return None
+    mats = [checked_array(m, (spec.p, spec.p), f"{name}[{i}]", problems, rule) for i, m in enumerate(items)]
+    return None if any(m is None for m in mats) else tuple(_freeze(m) for m in mats)
+
+
+def _intensity_fields(spec, offset: str, matrices: tuple[str, str], rule: str) -> None:
+    """Check and freeze the offset, matrices and dependence of an intensity model."""
+    problems = Problems()
+    values = {}
+    ok = _dimensions(spec, problems)
+    if ok:
+        d = checked_array(getattr(spec, offset), (spec.p,), offset, problems, rule)
+        values[offset] = None if d is None else _freeze(d)
+        for name in matrices:
+            values[name] = _matrices(spec, name, rule, problems)
+    dep = values["dependence"] = _nested(Dependence, spec.dependence, "dependence", problems)
+    if ok and dep is not None and dep.correlation is not None and dep.correlation.shape != (spec.p, spec.p):
+        problems.add("dependence.correlation", f"expected a {spec.p}x{spec.p} matrix")
+    problems.raise_if_any()
+    for name, value in values.items():
+        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True)
@@ -75,17 +145,12 @@ class ImmigrationSpec:
     values: np.ndarray
 
     def __post_init__(self):
+        problems = Problems()
         if self.family not in IMMIGRATION_FAMILIES:
-            raise ConfigurationError(
-                f"immigration family {self.family!r} not in {IMMIGRATION_FAMILIES}"
-            )
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ConfigurationError("immigration values must be a vector")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ConfigurationError("immigration values must be finite and nonnegative")
-        if self.family == "constant" and np.any(vals != np.floor(vals)):
-            raise ConfigurationError("constant immigration requires integer values")
+            problems.add("family", f"expected one of {IMMIGRATION_FAMILIES}, got {self.family!r}")
+        rule = "count" if self.family == "constant" else "nonnegative"
+        vals = checked_array(self.values, (None,), "values", problems, rule)
+        problems.raise_if_any()
         object.__setattr__(self, "values", _freeze(vals))
 
     def mean(self) -> np.ndarray:
@@ -107,7 +172,10 @@ class ImmigrationSpec:
 
 @dataclass(frozen=True)
 class GinarSpec:
-    """Thinning-based autoregression of order ``q`` in dimension ``p``."""
+    """Thinning-based autoregression of order ``q`` in dimension ``p``.
+
+    ``immigration`` may be given as a mapping of its fields.
+    """
 
     p: int
     q: int
@@ -116,27 +184,21 @@ class GinarSpec:
     immigration: ImmigrationSpec | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ConfigurationError("dimension and order must be positive")
-        mats = _check_matrices(self.mean_matrices, self.q, self.p, "mean_matrices", nonnegative=True)
-        object.__setattr__(self, "mean_matrices", mats)
+        problems = Problems()
+        ok = _dimensions(self, problems)
+        mats = _matrices(self, "mean_matrices", "nonnegative", problems) if ok else None
         if self.counting_family not in COUNTING_FAMILIES:
-            raise ConfigurationError(
-                f"counting family {self.counting_family!r} not in {COUNTING_FAMILIES}"
-            )
-        if self.counting_family == "bernoulli":
+            problems.add("counting_family", f"expected one of {COUNTING_FAMILIES}, got {self.counting_family!r}")
+        elif mats is not None and self.counting_family == "bernoulli":
             for idx, m in enumerate(mats):
-                if np.any(m > 1.0):
-                    bad = np.argwhere(m > 1.0)[0]
-                    raise ConfigurationError(
-                        f"mean_matrices[{idx}][{bad[0]}][{bad[1]}] > 1 is invalid for the bernoulli family"
-                    )
-        if self.immigration is None:
-            raise ConfigurationError("an immigration distribution is required")
-        if self.immigration.values.shape != (self.p,):
-            raise ConfigurationError(
-                f"immigration values must have length {self.p}, got {self.immigration.values.shape}"
-            )
+                flag_entry(m, m > 1.0, "mean {} exceeds 1, invalid for the bernoulli family",
+                           f"mean_matrices[{idx}]", problems)
+        immigration = _nested(ImmigrationSpec, self.immigration, "immigration", problems)
+        if ok and immigration is not None and immigration.values.shape != (self.p,):
+            problems.add("immigration.values", f"expected a vector of {self.p} numbers")
+        problems.raise_if_any()
+        object.__setattr__(self, "mean_matrices", mats)
+        object.__setattr__(self, "immigration", immigration)
 
     @property
     def kind(self) -> str:
@@ -150,7 +212,10 @@ class GinarSpec:
 
 @dataclass(frozen=True)
 class IngarchSpec:
-    """Linear-intensity model: counts conditionally Poisson given the past."""
+    """Linear-intensity model: counts conditionally Poisson given the past.
+
+    ``dependence`` may be given as a mapping of its fields.
+    """
 
     p: int
     q: int
@@ -160,21 +225,7 @@ class IngarchSpec:
     dependence: Dependence = field(default_factory=Dependence)
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ConfigurationError("dimension and order must be positive")
-        d = np.asarray(self.intensity_offset, dtype=float)
-        if d.shape != (self.p,) or not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ConfigurationError("intensity offset must be a nonnegative vector of length p")
-        object.__setattr__(self, "intensity_offset", _freeze(d))
-        object.__setattr__(
-            self, "lambda_matrices",
-            _check_matrices(self.lambda_matrices, self.q, self.p, "lambda_matrices", nonnegative=True),
-        )
-        object.__setattr__(
-            self, "count_matrices",
-            _check_matrices(self.count_matrices, self.q, self.p, "count_matrices", nonnegative=True),
-        )
-        _check_correlation_size(self.dependence, self.p)
+        _intensity_fields(self, "intensity_offset", ("lambda_matrices", "count_matrices"), "nonnegative")
 
     @property
     def kind(self) -> str:
@@ -183,7 +234,10 @@ class IngarchSpec:
 
 @dataclass(frozen=True)
 class LogLinearSpec:
-    """Log-linear intensity model; coefficient signs are unrestricted."""
+    """Log-linear intensity model; coefficient signs are unrestricted.
+
+    ``dependence`` may be given as a mapping of its fields.
+    """
 
     p: int
     q: int
@@ -193,34 +247,11 @@ class LogLinearSpec:
     dependence: Dependence = field(default_factory=Dependence)
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ConfigurationError("dimension and order must be positive")
-        d = np.asarray(self.offset, dtype=float)
-        if d.shape != (self.p,) or not np.all(np.isfinite(d)):
-            raise ConfigurationError("offset must be a finite vector of length p")
-        object.__setattr__(self, "offset", _freeze(d))
-        object.__setattr__(
-            self, "mu_matrices",
-            _check_matrices(self.mu_matrices, self.q, self.p, "mu_matrices", nonnegative=False),
-        )
-        object.__setattr__(
-            self, "logcount_matrices",
-            _check_matrices(self.logcount_matrices, self.q, self.p, "logcount_matrices", nonnegative=False),
-        )
-        _check_correlation_size(self.dependence, self.p)
+        _intensity_fields(self, "offset", ("mu_matrices", "logcount_matrices"), "real")
 
     @property
     def kind(self) -> str:
         return "loglinear"
-
-
-def _check_correlation_size(dependence: Dependence, p: int) -> None:
-    if not isinstance(dependence, Dependence):
-        raise ConfigurationError("dependence must be a Dependence instance")
-    if dependence.correlation is not None and dependence.correlation.shape != (p, p):
-        raise ConfigurationError(
-            f"correlation must be {p}x{p}, got {dependence.correlation.shape}"
-        )
 
 
 ModelSpec = GinarSpec | IngarchSpec | LogLinearSpec
@@ -241,34 +272,52 @@ def default_window(spec: ModelSpec) -> list:
 
 
 def validate_window(spec: ModelSpec, window) -> list:
-    """Check a window against its model; returns a normalized copy."""
-    if len(window) != spec.q:
-        raise ConfigurationError(f"window must hold {spec.q} lagged states, got {len(window)}")
-    out = []
-    if isinstance(spec, GinarSpec):
-        for entry in window:
-            x = np.asarray(entry)
-            if x.shape != (spec.p,) or np.any(x < 0):
-                raise ConfigurationError("window counts must be nonnegative vectors of length p")
-            out.append(x.astype(np.int64))
-        return out
-    for entry in window:
-        first, second = entry
-        a = np.asarray(first, dtype=float)
-        b = np.asarray(second, dtype=float)
-        if a.shape != (spec.p,) or b.shape != (spec.p,):
-            raise ConfigurationError("window entries must be pairs of vectors of length p")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ConfigurationError("window entries must be finite")
-        if isinstance(spec, IngarchSpec):
-            if np.any(a < 0) or np.any(b < 0):
-                raise ConfigurationError("counts and intensities must be nonnegative")
-            out.append((a.astype(np.int64), b))
-        else:
-            if np.any(a < 0):
-                raise ConfigurationError("log(1+y) window entries must be nonnegative")
-            out.append((a, b))
-    return out
+    """Check a window against its model; returns the lagged states the step reads.
+
+    A window holds ``q`` lagged states, most recent first: count vectors
+    (GINAR), ``(counts, intensities)`` pairs (linear) or ``(log(1 + counts),
+    mus)`` pairs (log-linear).  It may also be a mapping of per-lag lists
+    under ``WINDOW_KEYS[spec.kind]``, as configs give it, with plain counts
+    for every family.  Counts must be nonnegative integers; problems are
+    named by series and lag, e.g. ``counts[0]``.
+    """
+    problems = Problems()
+    if isinstance(window, Mapping):
+        names = WINDOW_KEYS[spec.kind]
+        series = [window.get(name) for name in names]
+    elif isinstance(spec, GinarSpec):
+        names, series = ("counts",), [window]
+    else:
+        names = ("counts", "intensities") if isinstance(spec, IngarchSpec) else ("log1p_counts", "mus")
+        series = _unzip(window, problems)
+        problems.raise_if_any()
+    checked = [_lags(rows, name, spec, problems) for name, rows in zip(names, series)]
+    problems.raise_if_any()
+    if names[0] == "counts":
+        convert = np.log1p if isinstance(spec, LogLinearSpec) else (lambda c: c.astype(np.int64))
+        checked[0] = [convert(c) for c in checked[0]]
+    return checked[0] if len(checked) == 1 else list(zip(*checked))
+
+
+def _unzip(window, problems: Problems) -> list:
+    """The two series of a list of ``(first, second)`` pairs."""
+    try:
+        pairs = [tuple(entry) for entry in window]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(pair) != 2 for pair in pairs):
+        problems.add("window", "expected a list of pairs of vectors")
+        return []
+    return [[a for a, _ in pairs], [b for _, b in pairs]]
+
+
+def _lags(rows, name: str, spec: ModelSpec, problems: Problems) -> list | None:
+    """``q`` vectors of length ``p`` obeying the series' rule."""
+    rows = _per_lag(rows, spec, name, f"{spec.q} vectors (most recent lag first)", problems)
+    if rows is None:
+        return None
+    return [checked_array(row, (spec.p,), f"{name}[{j}]", problems, _SERIES_RULES[name])
+            for j, row in enumerate(rows)]
 
 
 def ginar_step(spec: GinarSpec, window, t: int, cache: CountingCache, stream: Stream) -> np.ndarray:

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, Problems
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,6 +41,43 @@ COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 
 #: Intensities above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
+
+
+def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str) -> np.ndarray | None:
+    """``value`` as a float array of ``shape`` obeying ``rule``, or None after filing a problem.
+
+    ``None`` in ``shape`` matches any length.  ``rule`` is ``"real"`` (finite
+    entries), ``"nonnegative"`` or ``"count"`` (nonnegative integers); a
+    broken rule is reported at its first offending entry.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        if len(shape) == 1:
+            what = "a vector of numbers" if shape[0] is None else f"a vector of {shape[0]} numbers"
+        else:
+            what = "a matrix of numbers" if shape[0] is None else f"a {shape[0]}x{shape[1]} matrix of numbers"
+        problems.add(path, f"expected {what}")
+        return None
+    if not np.isfinite(arr).all():
+        problems.add(path, "contains non-finite entries")
+        return None
+    if rule != "real" and flag_entry(arr, arr < 0, "negative entry {}", path, problems):
+        return None
+    if rule == "count" and flag_entry(arr, arr != np.floor(arr), "non-integer entry {}", path, problems):
+        return None
+    return arr
+
+
+def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, problems: Problems) -> bool:
+    """File ``message`` (formatted with the entry) at the first entry ``mask`` marks, if any."""
+    bad = np.argwhere(mask)
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        problems.add(path + "".join(f"[{i}]" for i in at), message.format(arr[at]))
+    return bool(bad.size)
 
 
 def _splitmix64(x: int) -> int:
@@ -178,20 +216,20 @@ def poisson_quantile(scores, lam) -> np.ndarray:
         width = min(cap, 2 * width)
 
 
-def shared_counts(rng: np.random.Generator, scheme: Dependence, lam: np.ndarray) -> np.ndarray:
+def shared_counts(rng: np.random.Generator, dependence: Dependence, lam: np.ndarray) -> np.ndarray:
     """One step's counts for ``(chains, replicates, p)`` intensities under the scheme.
 
     Marginals are Poisson at each chain's own intensity; the chains share
     the Poisson processes (independent scheme) or the copula scores.
     """
     _check_intensities(lam)
-    if scheme.kind == "independent":
+    if dependence.scheme == "independent":
         return shared_poisson(rng, lam)
     replicates, p = lam.shape[1:]
-    if scheme.kind == "comonotone":
+    if dependence.scheme == "comonotone":
         scores = rng.standard_normal((replicates, 1))
     else:
-        scores = rng.standard_normal((replicates, p)) @ scheme.cholesky.T
+        scores = rng.standard_normal((replicates, p)) @ dependence.cholesky.T
     try:
         return poisson_quantile(scores, lam)
     except OverflowError as exc:
@@ -336,86 +374,79 @@ class PoissonProcessPath:
         return count
 
 
-def path_count(path: PoissonProcessPath, lam: float, stream: Stream) -> int:
-    """Evaluate a Poisson process path at intensity ``lam``."""
-    return path.count(lam, stream)
-
-
+@dataclass(frozen=True)
 class Dependence:
     """Joint law of the per-coordinate unit Poisson noise.
 
-    One of ``independent`` (independent coordinates), ``comonotone`` (all
-    coordinates driven by one shared uniform) or ``gaussian`` (a Gaussian
-    copula with the given correlation matrix).  Marginals are Poisson under
-    every scheme; only the joint changes.
+    ``scheme`` is one of ``independent`` (independent coordinates),
+    ``comonotone`` (all coordinates driven by one shared normal score) or
+    ``gaussian`` (a Gaussian copula with the given correlation matrix).
+    Marginals are Poisson under every scheme; only the joint changes.
     """
 
-    KINDS = ("independent", "comonotone", "gaussian")
+    scheme: str = "independent"
+    correlation: np.ndarray | None = None
 
-    __slots__ = ("kind", "correlation", "cholesky")
+    SCHEMES = ("independent", "comonotone", "gaussian")
 
-    def __init__(self, kind: str = "independent", correlation=None):
-        if kind not in self.KINDS:
-            raise ConfigurationError(f"unknown dependence scheme {kind!r}, expected one of {self.KINDS}")
-        self.kind = kind
-        self.correlation = None
-        self.cholesky = None
-        if kind == "gaussian":
-            if correlation is None:
-                raise ConfigurationError("gaussian dependence requires a correlation matrix")
-            corr = np.asarray(correlation, dtype=float)
-            if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-                raise ConfigurationError(f"correlation must be square, got shape {corr.shape}")
-            if not np.all(np.isfinite(corr)):
-                raise ConfigurationError("correlation contains non-finite entries")
-            if not np.allclose(corr, corr.T, atol=1e-12):
-                raise ConfigurationError("correlation matrix is not symmetric")
-            if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-                raise ConfigurationError("correlation matrix must have unit diagonal")
-            try:
-                self.cholesky = np.linalg.cholesky(corr)
-            except np.linalg.LinAlgError as exc:
-                raise ConfigurationError("correlation matrix is not positive definite") from exc
-            self.correlation = corr
-        elif correlation is not None:
-            raise ConfigurationError(f"scheme {kind!r} does not take a correlation matrix")
+    def __post_init__(self):
+        problems = Problems()
+        corr, chol = None, None
+        if self.scheme not in self.SCHEMES:
+            problems.add("scheme", f"expected one of {self.SCHEMES}, got {self.scheme!r}")
+        elif self.scheme != "gaussian":
+            if self.correlation is not None:
+                problems.add("correlation", f"scheme {self.scheme!r} does not take a correlation matrix")
+        elif self.correlation is None:
+            problems.add("correlation", "gaussian dependence requires a correlation matrix")
+        else:
+            corr = checked_array(self.correlation, (None, None), "correlation", problems, "real")
+        if corr is not None:
+            if corr.shape[0] != corr.shape[1]:
+                problems.add("correlation", f"expected a square matrix, got shape {corr.shape}")
+            elif not np.allclose(corr, corr.T, atol=1e-12):
+                problems.add("correlation", "matrix is not symmetric")
+            elif not np.allclose(np.diag(corr), 1.0, atol=1e-12):
+                problems.add("correlation", "matrix must have unit diagonal")
+            else:
+                try:
+                    chol = np.linalg.cholesky(corr)
+                except np.linalg.LinAlgError:
+                    problems.add("correlation", "matrix is not positive definite")
+        problems.raise_if_any()
+        object.__setattr__(self, "correlation", corr)
+        object.__setattr__(self, "cholesky", chol)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dependence):
             return NotImplemented
-        if self.kind != other.kind:
+        if self.scheme != other.scheme:
             return False
         if self.correlation is None:
             return other.correlation is None
         return other.correlation is not None and np.array_equal(self.correlation, other.correlation)
 
     def __repr__(self) -> str:
-        if self.kind == "gaussian":
+        if self.scheme == "gaussian":
             return f"Dependence('gaussian', correlation={self.correlation.tolist()})"
-        return f"Dependence({self.kind!r})"
-
-
-def _standard_normal_cdf(x: np.ndarray) -> np.ndarray:
-    root2 = math.sqrt(2.0)
-    return np.array([0.5 * (1.0 + math.erf(v / root2)) for v in x])
+        return f"Dependence({self.scheme!r})"
 
 
 class CountNoise:
     """The count-process noise of a single time step.
 
     Evaluable at any intensity vector via :meth:`at`; repeated evaluations
-    reuse the same underlying realization (paths, shared uniform or Gaussian
-    draw), which is what coupled chains rely on when they share an instance.
+    reuse the same underlying realization (paths or normal scores), which is what coupled chains rely on when they share an instance.
     """
 
-    __slots__ = ("scheme", "p", "_stream", "_paths", "_uniforms")
+    __slots__ = ("dependence", "p", "_stream", "_paths", "_scores")
 
-    def __init__(self, scheme: Dependence, p: int, stream: Stream):
-        self.scheme = scheme
+    def __init__(self, dependence: Dependence, p: int, stream: Stream):
+        self.dependence = dependence
         self.p = int(p)
         self._stream = stream
         self._paths = None
-        self._uniforms = None
+        self._scores = None
 
     def at(self, lambdas) -> np.ndarray:
         """Counts with marginal law Poisson(lambdas_j), joint per the scheme."""
@@ -427,9 +458,9 @@ class CountNoise:
             raise ValueError("intensities must be finite and nonnegative")
         if hi > INTENSITY_LIMIT:
             raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
-        if self.scheme.kind == "independent":
+        if self.dependence.scheme == "independent":
             return self._independent(lam)
-        return self._via_uniforms(lam)
+        return self._via_scores(lam)
 
     def _independent(self, lam: np.ndarray) -> np.ndarray:
         if self._paths is None:
@@ -439,26 +470,22 @@ class CountNoise:
             out[j] = self._paths[j].count(float(lam[j]), self._stream)
         return out
 
-    def _via_uniforms(self, lam: np.ndarray) -> np.ndarray:
-        if self._uniforms is None:
-            if self.scheme.kind == "comonotone":
-                self._uniforms = np.full(self.p, float(self._stream.rng.random()))
+    def _via_scores(self, lam: np.ndarray) -> np.ndarray:
+        if self._scores is None:
+            if self.dependence.scheme == "comonotone":
+                self._scores = np.full(self.p, float(self._stream.rng.standard_normal()))
             else:
-                z = self._stream.rng.standard_normal(self.p)
-                self._uniforms = _standard_normal_cdf(self.scheme.cholesky @ z)
-        out = np.zeros(self.p, dtype=np.int64)
-        for j in range(self.p):
-            try:
-                out[j] = poisson_inverse_cdf(float(self._uniforms[j]), float(lam[j]))
-            except OverflowError as exc:
-                raise DivergenceError(str(exc)) from exc
-        return out
+                self._scores = self.dependence.cholesky @ self._stream.rng.standard_normal(self.p)
+        try:
+            return poisson_quantile(self._scores, lam)
+        except OverflowError as exc:
+            raise DivergenceError(str(exc)) from exc
 
 
-def sample_count_vector(lambdas, scheme: Dependence, stream: Stream) -> np.ndarray:
+def sample_count_vector(lambdas, dependence: Dependence, stream: Stream) -> np.ndarray:
     """One fresh count vector with Poisson marginals coupled per the scheme."""
     lam = np.asarray(lambdas, dtype=float)
-    return CountNoise(scheme, lam.shape[0], stream).at(lam)
+    return CountNoise(dependence, lam.shape[0], stream).at(lam)
 
 
 def _draw_counting(family: str, mean: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from countsim import analysis, cli, engine, linalg
-from countsim.config import parse_config_file, window_from_config
+from countsim.config import parse_config_file
 from countsim.models import IngarchSpec
 from countsim.randomness import block_rng, shared_poisson
 
@@ -130,9 +130,7 @@ def test_criterion_5_contraction_and_its_failure():
         exp = config.experiment
         spec = config.model
         ens = engine.couple_ensemble(
-            spec, exp.n,
-            window_from_config(spec, exp.window_a),
-            window_from_config(spec, exp.window_b),
+            spec, exp.n, exp.window_a, exp.window_b,
             master_seed=config.seed, replicates=exp.replicates, jobs=4,
         )
         final = float(ens.mean_distances[-1])
@@ -146,9 +144,7 @@ def test_criterion_5_contraction_and_its_failure():
     exp = config.experiment
     spec = config.model
     ens = engine.couple_ensemble(
-        spec, exp.n,
-        window_from_config(spec, exp.window_a),
-        window_from_config(spec, exp.window_b),
+        spec, exp.n, exp.window_a, exp.window_b,
         master_seed=config.seed, replicates=exp.replicates, jobs=4,
     )
     violates = ens.median_final_distance >= ens.initial_distance

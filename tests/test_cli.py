@@ -1,4 +1,6 @@
+import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -103,6 +105,66 @@ experiment:
     assert "experiment.n" in text
 
 
+def test_one_pass_reports_nested_and_matrix_problems():
+    text = """
+seed: 3
+model:
+  kind: ginar
+  p: 2
+  mean_matrices:
+    - [[0.4, 1.5], [0.0, 0.2]]
+  counting_family: bernoulli
+  immigration:
+    family: poisson
+    values: [1.0, -2.0]
+experiment:
+  kind: check
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    problems = err.value.problems
+    assert any(p.startswith("model.immigration.values") for p in problems)
+    assert any(p.startswith("model.mean_matrices[0][0][1]") for p in problems)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("model", "p"), True),
+    (("model", "q"), True),
+    (("experiment", "r_values"), [True]),
+    (("experiment", "delta_values"), [True]),
+])
+def test_booleans_are_not_numbers(path, value):
+    # A scalar model, so that True == 1 would pass for the dimension.
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"].update(p=1, intensity_offset=[1.0], lambda_matrices=[[[0.0]]], count_matrices=[[[0.5]]])
+    raw["experiment"] = {"kind": "moments", "T": 100, "r_values": [1], "delta_values": [0.1]}
+    parse_config(yaml.safe_dump(raw))
+    raw[path[0]][path[1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert any(p.startswith(".".join(path)) for p in err.value.problems)
+
+
+def test_window_counts_must_be_integers_and_numbers():
+    config = parse_config((CONFIG_DIR / "loglinear_couple.yaml").read_text(encoding="utf-8"))
+    for counts, fragment in (([[1.5, 0]], "counts[0][0]: non-integer entry 1.5"),
+                             ([[-1, 0]], "counts[0][0]: negative entry -1.0"),
+                             ([["x", 0]], "counts[0]: expected a vector of 2 numbers")):
+        raw = config.to_dict()
+        raw["experiment"]["window_b"]["counts"] = counts
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_dump(raw))
+        assert err.value.problems == [f"experiment.window_b.{fragment}"]
+
+
+def test_non_numeric_matrix_is_a_problem():
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"]["count_matrices"] = [[["x"]]]
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert err.value.problems == ["model.count_matrices[0]: expected a 2x2 matrix of numbers"]
+
+
 def test_parse_error_reports_line_and_column():
     with pytest.raises(ConfigError) as err:
         parse_config("seed: 1\nmodel: [unclosed")
@@ -126,7 +188,7 @@ def test_gaussian_dependence_round_trip():
     raw["model"]["dependence"] = {"scheme": "gaussian",
                                   "correlation": [[1.0, 0.5], [0.5, 1.0]]}
     config = parse_config(yaml.safe_dump(raw))
-    assert config.model.dependence.kind == "gaussian"
+    assert config.model.dependence.scheme == "gaussian"
     raw["model"]["dependence"]["correlation"] = [[1.0, 2.0], [2.0, 1.0]]
     with pytest.raises(ConfigError):
         parse_config(yaml.safe_dump(raw))
@@ -210,21 +272,21 @@ def test_strict_exit_codes_via_subprocess(tmp_path):
     failing = write(tmp_path, MINIMAL_CHECK.replace("[[0.5, 0.4], [0.0, 0.5]]",
                                                     "[[0.9, 0.4], [0.4, 0.9]]"), "bad.yaml")
     base = [sys.executable, "-m", "countsim.cli"]
+    # The child imports the same package as this process, however it was put on sys.path.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = functools.partial(subprocess.run, capture_output=True, env=env)
 
-    ok = subprocess.run(base + ["check", "--config", passing, "--strict",
-                                "--out", str(tmp_path / "o1")], capture_output=True)
+    ok = run(base + ["check", "--config", passing, "--strict", "--out", str(tmp_path / "o1")])
     assert ok.returncode == 0
 
-    strict = subprocess.run(base + ["check", "--config", failing, "--strict",
-                                    "--out", str(tmp_path / "o2")], capture_output=True)
+    strict = run(base + ["check", "--config", failing, "--strict", "--out", str(tmp_path / "o2")])
     assert strict.returncode == 2
 
-    lax = subprocess.run(base + ["check", "--config", failing,
-                                 "--out", str(tmp_path / "o3")], capture_output=True)
+    lax = run(base + ["check", "--config", failing, "--out", str(tmp_path / "o3")])
     assert lax.returncode == 0
 
-    missing = subprocess.run(base + ["check", "--config", str(tmp_path / "nope.yaml")],
-                             capture_output=True)
+    missing = run(base + ["check", "--config", str(tmp_path / "nope.yaml")])
     assert missing.returncode == 1
 
 

@@ -178,6 +178,18 @@ def test_couple_requires_minimum_iterations_and_valid_windows():
         couple(spec, 20, w, [np.array([1, 2])], master_seed=1)
 
 
+def test_couple_rejects_non_integer_window_counts():
+    from countsim.errors import ConfigurationError
+
+    ginar = GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("poisson", [1.0]))
+    with pytest.raises(ConfigurationError):
+        couple(ginar, 20, [np.array([1.5])], [np.array([0.0])], master_seed=1)
+    ingarch = stationary_2d()
+    with pytest.raises(ConfigurationError):
+        couple(ingarch, 20, [(np.array([1.5, 0.0]), np.array([1.0, 1.0]))],
+               default_window(ingarch), master_seed=1)
+
+
 def test_couple_single_run_reproducible():
     spec = stationary_2d()
     wa = default_window(spec)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from countsim.errors import ConfigurationError, DivergenceError
+from countsim.errors import ConfigError, ConfigurationError, DivergenceError
 from countsim.models import (
     GinarSpec,
     ImmigrationSpec,
@@ -84,6 +84,21 @@ def test_correlation_dimension_checked():
                     Dependence("gaussian", np.eye(3)))
 
 
+def test_spec_problems_are_collected_with_paths():
+    with pytest.raises(ConfigError) as err:
+        GinarSpec(2, 1, ([[0.4, -0.1], [0.0, 1.2]],), "bernoulli", {"family": "constant", "values": [1.5, 2.0]})
+    assert err.value.problems == ["mean_matrices[0][0][1]: negative entry -0.1",
+                                  "immigration.values[0]: non-integer entry 1.5"]
+    with pytest.raises(ConfigError) as err:
+        IngarchSpec(True, 1, [1.0], ([["x"]],), ([[0.2]],))
+    assert err.value.problems == ["p: dimension must be a positive integer"]
+    with pytest.raises(ConfigError) as err:
+        LogLinearSpec(1, 1, [np.inf], ([["x"]],), ([[0.3]],), {"scheme": "gaussian"})
+    assert err.value.problems == ["offset: contains non-finite entries",
+                                  "mu_matrices[0]: expected a 1x1 matrix of numbers",
+                                  "dependence.correlation: gaussian dependence requires a correlation matrix"]
+
+
 def test_window_validation():
     spec = ingarch_1d()
     with pytest.raises(ConfigurationError):
@@ -92,6 +107,10 @@ def test_window_validation():
         validate_window(spec, [(np.array([-1]), np.array([1.0]))])
     ok = validate_window(spec, [(np.array([2]), np.array([2.0]))])
     assert ok[0][0].dtype == np.int64
+    with pytest.raises(ConfigurationError):
+        validate_window(spec, [(np.array([1.5]), np.array([2.0]))])
+    with pytest.raises(ConfigurationError):
+        validate_window(ginar_2d(), [np.array([1.5, 0.0])])
 
 
 # --- ginar steps -------------------------------------------------------------

@@ -225,6 +225,18 @@ def test_marginals_poisson_under_every_scheme(scheme):
         assert _chi_square_poisson(draws[:, j], lam[j]) > 0.001
 
 
+@pytest.mark.parametrize("scheme", ["comonotone", "gaussian"])
+def test_copula_noise_is_the_poisson_quantile_of_its_scores(scheme):
+    dep = Dependence("gaussian", [[1.0, 0.6], [0.6, 1.0]]) if scheme == "gaussian" else Dependence(scheme)
+    lam = np.array([2.0, 5.0])
+    for t in range(200):
+        rng = make_stream(13, 0, t).rng
+        scores = np.full(2, rng.standard_normal()) if scheme == "comonotone" \
+            else dep.cholesky @ rng.standard_normal(2)
+        got = CountNoise(dep, 2, make_stream(13, 0, t)).at(lam)
+        assert np.array_equal(got, poisson_quantile(scores, lam))
+
+
 def test_intensity_limit_raises_divergence():
     noise = CountNoise(Dependence(), 1, make_stream(1, 0, 0))
     with pytest.raises(DivergenceError):
@@ -403,7 +415,6 @@ def test_poisson_quantile_upper_half_is_the_survival_quantile():
 
 def test_poisson_quantile_tail_scores_do_not_round_to_one():
     # Phi(9) rounds to exactly 1.0, where the scalar inverse CDF must refuse.
-    assert randomness._standard_normal_cdf(np.array([9.0]))[0] == 1.0
     with pytest.raises(ValueError):
         poisson_inverse_cdf(1.0, 2.0)
     high, low = poisson_quantile([9.0, -9.0], 2.0)
