@@ -13,18 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import __version__, analysis, engine
-from .config import (
-    CoupleExperiment,
-    ExperimentConfig,
-    MomentsExperiment,
-    SimulateExperiment,
-    parse_config_file,
-)
-from .errors import ConfigurationError, DivergenceError, StationarityError
+from .config import ExperimentConfig, parse_config_file
+from .errors import ConfigurationError, DivergenceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +70,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: trajectory diverged: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, StationarityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -100,17 +95,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     out_dir = config.output_dir if out_dir is None else out_dir
     exp = config.experiment
     if exp.kind == "check":
-        results = report.to_dict()
-        summary = report.format_table()
-        extra_files = []
-    elif isinstance(exp, SimulateExperiment):
-        results, summary, extra_files = _run_simulate(config, exp, out_dir)
-    elif isinstance(exp, CoupleExperiment):
-        results, summary, extra_files = _run_couple(config, exp, jobs)
-    elif isinstance(exp, MomentsExperiment):
-        results, summary, extra_files = _run_moments(config, exp, jobs)
+        results, summary, extra_files = report.to_dict(), report.format_table(), []
     else:
-        raise ConfigurationError(f"unknown experiment kind {exp.kind!r}")
+        results, summary, extra_files = _RUNNERS[exp.kind](config, out_dir, jobs)
 
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
@@ -124,7 +111,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
         "results": results,
     }
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     print(summary)
@@ -133,7 +120,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     return 0
 
 
-def _run_simulate(config: ExperimentConfig, exp: SimulateExperiment, out_dir: str):
+def _run_simulate(config: ExperimentConfig, out_dir: str, jobs: int):
+    exp = config.experiment
     path = engine.simulate(config.model, exp.T, exp.burn_in, master_seed=config.seed)
     mean_counts = path.counts.mean(axis=0)
     mean_intensity = path.intensities.mean(axis=0)
@@ -156,7 +144,8 @@ def _run_simulate(config: ExperimentConfig, exp: SimulateExperiment, out_dir: st
     return results, summary, extra_files
 
 
-def _run_couple(config: ExperimentConfig, exp: CoupleExperiment, jobs: int):
+def _run_couple(config: ExperimentConfig, out_dir: str, jobs: int):
+    exp = config.experiment
     ensemble = engine.couple_ensemble(
         config.model, exp.n, exp.window_a, exp.window_b,
         master_seed=config.seed, replicates=exp.replicates, jobs=jobs,
@@ -181,7 +170,17 @@ def _run_couple(config: ExperimentConfig, exp: CoupleExperiment, jobs: int):
     return results, summary, []
 
 
-def _run_moments(config: ExperimentConfig, exp: MomentsExperiment, jobs: int):
+def _finite(value: float) -> float | None:
+    """``value``, or None (JSON null) when it is infinite or NaN."""
+    return value if math.isfinite(value) else None
+
+
+def _text(value: float, spec: str) -> str:
+    return format(value, spec) if math.isfinite(value) else "n/a"
+
+
+def _run_moments(config: ExperimentConfig, out_dir: str, jobs: int):
+    exp = config.experiment
     report = engine.monte_carlo_moments(
         config.model, list(exp.r_values), list(exp.delta_values),
         exp.T, exp.burn_in, exp.replicates, master_seed=config.seed, jobs=jobs,
@@ -191,14 +190,14 @@ def _run_moments(config: ExperimentConfig, exp: MomentsExperiment, jobs: int):
         "burn_in": report.burn_in,
         "replicates": report.replicates,
         "polynomial": {
-            str(r): {"estimate": m.estimate, "std_error": m.std_error}
+            str(r): {"estimate": _finite(m.estimate), "std_error": _finite(m.std_error)}
             for r, m in report.polynomial.items()
         },
         "exponential": {
             str(d): {
-                "log_estimate": m.log_estimate,
-                "std_error": m.std_error,
-                "top10_share": m.top10_share,
+                "log_estimate": _finite(m.log_estimate),
+                "std_error": _finite(m.std_error),
+                "top10_share": _finite(m.top10_share),
                 "saturated": m.saturated,
             }
             for d, m in report.exponential.items()
@@ -206,11 +205,16 @@ def _run_moments(config: ExperimentConfig, exp: MomentsExperiment, jobs: int):
     }
     lines = [f"moment estimates from {report.sample_size} pooled samples:"]
     for r, m in report.polynomial.items():
-        lines.append(f"  E|Y|_1^{r:g} = {m.estimate:.6g} (se {m.std_error:.3g})")
+        lines.append(f"  E|Y|_1^{r:g} = {_text(m.estimate, '.6g')} (se {_text(m.std_error, '.3g')})")
     for d, m in report.exponential.items():
         flag = "  [saturated]" if m.saturated else ""
-        lines.append(f"  log E exp({d:g}|Y|_1) = {m.log_estimate:.6g} (se {m.std_error:.3g}){flag}")
+        lines.append(f"  log E exp({d:g}|Y|_1) = {_text(m.log_estimate, '.6g')} "
+                     f"(se {_text(m.std_error, '.3g')}){flag}")
     return results, "\n".join(lines), []
+
+
+# Every experiment kind but "check", which reports the condition check itself.
+_RUNNERS = {"simulate": _run_simulate, "couple": _run_couple, "moments": _run_moments}
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 One config file describes exactly one model and one experiment.  A master
 seed is mandatory; there is no wall-clock fallback, reproducibility is a
-feature.  This module maps the document onto the spec constructors, which
-own every model and window rule: the model mapping's keys are the spec's
-field names, and problems come back with their path into the document.
+feature.  This module maps the document onto the spec and experiment
+constructors, which own every model, window and run-parameter rule: the
+model and experiment mappings' keys are their field names, and problems come
+back with their path into the document.
 Validation collects every problem instead of stopping at the first, and
 ``to_dict`` emits the fully resolved config that reports embed, so any
 report is self-reproducing.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 import yaml
 
-from .engine import DEFAULT_BURN_IN, DEFAULT_REPLICATES
+from .engine import CheckExperiment, CoupleExperiment, MomentsExperiment, SimulateExperiment
 from .errors import ConfigError, Problems
 from .models import (
     WINDOW_KEYS,
@@ -28,41 +29,11 @@ from .models import (
     from_mapping,
     validate_window,
 )
+from .randomness import checked_int
 
-EXPERIMENT_KINDS = ("check", "simulate", "couple", "moments")
 MODEL_SPECS = {"ginar": GinarSpec, "ingarch": IngarchSpec, "loglinear": LogLinearSpec}
-
-
-@dataclass(frozen=True)
-class CheckExperiment:
-    kind: str = "check"
-
-
-@dataclass(frozen=True)
-class SimulateExperiment:
-    T: int
-    burn_in: int = DEFAULT_BURN_IN
-    kind: str = "simulate"
-
-
-@dataclass(frozen=True)
-class CoupleExperiment:
-    n: int
-    window_a: dict
-    window_b: dict
-    replicates: int = DEFAULT_REPLICATES
-    kind: str = "couple"
-
-
-@dataclass(frozen=True)
-class MomentsExperiment:
-    r_values: tuple[float, ...]
-    delta_values: tuple[float, ...]
-    T: int
-    burn_in: int = DEFAULT_BURN_IN
-    replicates: int = DEFAULT_REPLICATES
-    kind: str = "moments"
-
+EXPERIMENTS = {"check": CheckExperiment, "simulate": SimulateExperiment,
+               "couple": CoupleExperiment, "moments": MomentsExperiment}
 
 Experiment = CheckExperiment | SimulateExperiment | CoupleExperiment | MomentsExperiment
 
@@ -80,7 +51,7 @@ class ExperimentConfig:
         return {
             "seed": self.seed,
             "model": {"kind": self.model.kind, **_plain(self.model)},
-            "experiment": _plain(self.experiment),
+            "experiment": {"kind": self.experiment.kind, **_plain(self.experiment)},
             "output": {"directory": self.output_dir, "csv": self.write_csv},
         }
 
@@ -114,10 +85,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed")
     if seed is None:
         errs.add("seed", "seed required")
-        seed = 0
-    elif not isinstance(seed, int) or isinstance(seed, bool):
-        errs.add("seed", f"expected an integer, got {seed!r}")
-        seed = 0
+    else:
+        checked_int(seed, "seed", errs)
 
     model_raw = raw.get("model")
     model = None
@@ -131,7 +100,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     if not isinstance(exp_raw, dict):
         errs.add("experiment", "an experiment mapping is required")
     else:
-        experiment = _validate_experiment(exp_raw, model, errs)
+        experiment = _experiment(exp_raw, model, errs)
 
     out_raw = raw.get("output", {})
     output_dir = "out"
@@ -162,65 +131,15 @@ def _model(raw: dict, errs: Problems) -> ModelSpec | None:
     return errs.nest("model", lambda: from_mapping(MODEL_SPECS[kind], {"q": 1, **raw}))
 
 
-def _positive_int(raw, key, path, errs, default=None, minimum=1):
-    value = raw.get(key, default)
-    if value is None:
-        errs.add(path, "required")
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        errs.add(path, f"expected an integer >= {minimum}, got {value!r}")
-        return None
-    return value
-
-
-def _validate_experiment(raw: dict, model: ModelSpec | None, errs: Problems):
+def _experiment(raw: dict, model: ModelSpec | None, errs: Problems):
     kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        errs.add("experiment.kind", f"expected one of {EXPERIMENT_KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        errs.add("experiment.kind", f"expected one of {'/'.join(EXPERIMENTS)}, got {kind!r}")
         return None
-    if kind == "check":
-        return CheckExperiment()
-    if kind == "simulate":
-        T = _positive_int(raw, "T", "experiment.T", errs)
-        burn_in = _positive_int(raw, "burn_in", "experiment.burn_in", errs,
-                                default=DEFAULT_BURN_IN, minimum=0)
-        if T is None or burn_in is None:
-            return None
-        return SimulateExperiment(T, burn_in)
-    if kind == "moments":
-        T = _positive_int(raw, "T", "experiment.T", errs)
-        burn_in = _positive_int(raw, "burn_in", "experiment.burn_in", errs,
-                                default=DEFAULT_BURN_IN, minimum=0)
-        replicates = _positive_int(raw, "replicates", "experiment.replicates", errs,
-                                   default=DEFAULT_REPLICATES)
-        r_values = raw.get("r_values")
-        delta_values = raw.get("delta_values")
-        ok = True
-        if not isinstance(r_values, list) or not r_values \
-                or any(not _number(v) or v < 1 for v in r_values):
-            errs.add("experiment.r_values", "expected a nonempty list of numbers >= 1")
-            ok = False
-        if not isinstance(delta_values, list) or not delta_values \
-                or any(not _number(v) or v <= 0 for v in delta_values):
-            errs.add("experiment.delta_values", "expected a nonempty list of numbers > 0")
-            ok = False
-        if T is None or burn_in is None or replicates is None or not ok:
-            return None
-        return MomentsExperiment(tuple(float(v) for v in r_values),
-                                 tuple(float(v) for v in delta_values), T, burn_in, replicates)
-    # couple
-    n = _positive_int(raw, "n", "experiment.n", errs, minimum=10)
-    replicates = _positive_int(raw, "replicates", "experiment.replicates", errs,
-                               default=DEFAULT_REPLICATES)
-    wa = _window(raw.get("window_a"), model, "experiment.window_a", errs)
-    wb = _window(raw.get("window_b"), model, "experiment.window_b", errs)
-    if n is None or replicates is None or wa is None or wb is None:
-        return None
-    return CoupleExperiment(n, wa, wb, replicates)
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "couple":
+        raw = {**raw, **{name: _window(raw.get(name), model, f"experiment.{name}", errs)
+                         for name in ("window_a", "window_b")}}
+    return errs.nest("experiment", lambda: from_mapping(EXPERIMENTS[kind], raw))
 
 
 def _window(raw, model: ModelSpec | None, path: str, errs: Problems) -> dict | None:

@@ -19,11 +19,14 @@ composite states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, Problems
 from .models import (
     ModelSpec,
     block_state,
@@ -32,7 +35,7 @@ from .models import (
     validate_window,
     window_distance,
 )
-from .randomness import block_rng
+from .randomness import block_rng, checked_int
 
 DEFAULT_BURN_IN = 1000
 DEFAULT_REPLICATES = 32
@@ -71,11 +74,90 @@ def _lockstep(spec: ModelSpec, state, steps: int, rng: np.random.Generator):
         yield t, state, counts, intensity
 
 
-def _check_lengths(T: int, burn_in: int) -> None:
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+def _numbers(values, path: str, bound: str, holds, problems: Problems) -> tuple[float, ...] | None:
+    """``values`` as a tuple of floats, or None after filing a problem.
+
+    ``values`` must be a nonempty sequence of finite real numbers (booleans
+    are not) for each of which ``holds`` is true; ``bound`` says so in words.
+    """
+    try:
+        items = list(values)
+    except TypeError:
+        items = []
+    if not items or not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) and holds(v)
+                            for v in items):
+        problems.add(path, f"expected a nonempty list of finite numbers {bound}")
+        return None
+    return tuple(float(v) for v in items)
+
+
+@dataclass(frozen=True)
+class CheckExperiment:
+    """Evaluate the model's conditions; takes no run parameters."""
+
+    kind: ClassVar[str] = "check"
+
+
+@dataclass(frozen=True)
+class SimulateExperiment:
+    """One path of ``T`` steps, kept after ``burn_in`` discarded steps."""
+
+    T: int
+    burn_in: int = DEFAULT_BURN_IN
+    kind: ClassVar[str] = "simulate"
+
+    def __post_init__(self):
+        problems = Problems()
+        checked_int(self.T, "T", problems, 1)
+        checked_int(self.burn_in, "burn_in", problems, 0)
+        problems.raise_if_any()
+
+
+@dataclass(frozen=True)
+class CoupleExperiment:
+    """``replicates`` coupled pairs run ``n`` steps from two start windows.
+
+    The windows are checked against the model (:func:`validate_window`)
+    when the experiment runs, since their shape depends on it.
+    """
+
+    n: int
+    window_a: object
+    window_b: object
+    replicates: int = DEFAULT_REPLICATES
+    kind: ClassVar[str] = "couple"
+
+    def __post_init__(self):
+        problems = Problems()
+        checked_int(self.n, "n", problems, 10)
+        checked_int(self.replicates, "replicates", problems, 1)
+        problems.raise_if_any()
+
+
+@dataclass(frozen=True)
+class MomentsExperiment:
+    """Moments of orders ``r_values`` and scales ``delta_values`` from ``replicates`` paths.
+
+    Both lists are normalised to tuples of floats.
+    """
+
+    r_values: tuple[float, ...]
+    delta_values: tuple[float, ...]
+    T: int
+    burn_in: int = DEFAULT_BURN_IN
+    replicates: int = DEFAULT_REPLICATES
+    kind: ClassVar[str] = "moments"
+
+    def __post_init__(self):
+        problems = Problems()
+        r_values = _numbers(self.r_values, "r_values", ">= 1", lambda r: r >= 1, problems)
+        delta_values = _numbers(self.delta_values, "delta_values", "> 0", lambda d: d > 0, problems)
+        checked_int(self.T, "T", problems, 1)
+        checked_int(self.burn_in, "burn_in", problems, 0)
+        checked_int(self.replicates, "replicates", problems, 1)
+        problems.raise_if_any()
+        object.__setattr__(self, "r_values", r_values)
+        object.__setattr__(self, "delta_values", delta_values)
 
 
 @dataclass
@@ -100,10 +182,6 @@ class SamplePath:
     @property
     def dimension(self) -> int:
         return self.counts.shape[1]
-
-    def l1_counts(self) -> np.ndarray:
-        """Per-step l1 size of the count vector."""
-        return self.counts.sum(axis=1).astype(float)
 
     def to_csv(self, path) -> None:
         """Write ``t,y_1..y_p,lambda_1..lambda_p`` rows with LF endings.
@@ -133,7 +211,7 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
     Raises :class:`DivergenceError`, tagged with the offending time index, if
     the trajectory leaves the representable range.
     """
-    _check_lengths(T, burn_in)
+    SimulateExperiment(T, burn_in)  # checks the run parameters
     counts = np.zeros((T, spec.p), dtype=np.int64)
     intensities = np.zeros((T, spec.p))
     state = block_state(spec, [default_window(spec)])
@@ -203,10 +281,8 @@ def _couple_block(spec: ModelSpec, n: int, window_a, window_b, replicates: int,
     return distances
 
 
-def _coupling_start(spec: ModelSpec, n: int, window_a, window_b):
+def _coupling_start(spec: ModelSpec, window_a, window_b):
     """Validated windows and their distance."""
-    if n < 10:
-        raise ValueError("n must be at least 10")
     wa = validate_window(spec, window_a)
     wb = validate_window(spec, window_b)
     return wa, wb, float(window_distance(spec, block_state(spec, [wa, wb]))[0])
@@ -226,7 +302,8 @@ def couple(spec: ModelSpec, n: int, window_a, window_b,
     therefore a cheap stand-in for the backward iterations whose convergence
     defines the stationary solution.
     """
-    wa, wb, initial = _coupling_start(spec, n, window_a, window_b)
+    CoupleExperiment(n, window_a, window_b, replicates=1)  # checks the run parameters
+    wa, wb, initial = _coupling_start(spec, window_a, window_b)
     distances = _couple_block(spec, n, wa, wb, 1, block_rng(master_seed, replicate_id))[0].tolist()
     rate, window = _fit_decay_rate(initial, distances)
     return CouplingReport(distances, rate, window, (window_a, window_b), initial)
@@ -253,9 +330,8 @@ def couple_ensemble(spec: ModelSpec, n: int, window_a, window_b, master_seed: in
     ``(master_seed, b)``.  The decay rate is fitted on the replicate-mean
     curve.  With ``jobs > 1`` blocks run in up to ``jobs`` worker processes.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    wa, wb, initial = _coupling_start(spec, n, window_a, window_b)
+    CoupleExperiment(n, window_a, window_b, replicates)  # checks the run parameters
+    wa, wb, initial = _coupling_start(spec, window_a, window_b)
     tasks = [(spec, n, wa, wb, size, master_seed, b) for b, size in _blocks(replicates)]
     stacked = np.concatenate(_map_blocks(_couple_task, tasks, jobs))
     mean_distances = stacked.mean(axis=0)
@@ -327,12 +403,13 @@ class _MomentFold:
         """Fold in a ``(replicates, k)`` chunk of l1 sizes."""
         k = sizes.shape[1]
         n = self.n + k
-        for r in self.mean:
-            x = sizes**r
-            mean = x.mean(axis=1)
-            gap = mean - self.mean[r]
-            self.m2[r] += np.sum((x - mean[:, None]) ** 2, axis=1) + gap**2 * (self.n * k / n)
-            self.mean[r] += gap * (k / n)
+        with np.errstate(over="ignore", invalid="ignore"):  # see monte_carlo_moments
+            for r in self.mean:
+                x = sizes**r
+                mean = x.mean(axis=1)
+                gap = mean - self.mean[r]
+                self.m2[r] += np.sum((x - mean[:, None]) ** 2, axis=1) + gap**2 * (self.n * k / n)
+                self.mean[r] += gap * (k / n)
         for d in self.lse:
             scaled = d * sizes
             chunk_lse = np.stack((_logsumexp(scaled, axis=1), _logsumexp(2.0 * scaled, axis=1)))
@@ -342,7 +419,9 @@ class _MomentFold:
 
     def summaries(self) -> list:
         """One ``(n, {r: (mean, std)}, {delta: (lse, lse of 2x, top 10)})`` per replicate."""
-        std = {r: np.sqrt(self.m2[r] / (self.n - 1)) for r in self.m2}  # NaN for one sample, as np.std
+        # Undefined (NaN) for a single sample, as np.std with ddof=1.
+        std = {r: np.sqrt(self.m2[r] / (self.n - 1)) if self.n > 1 else np.full(self.replicates, np.nan)
+               for r in self.m2}
         return [(self.n,
                  {r: (float(self.mean[r][i]), float(std[r][i])) for r in self.mean},
                  {d: (float(self.lse[d][0, i]), float(self.lse[d][1, i]), self.top[d][i].tolist())
@@ -350,10 +429,10 @@ class _MomentFold:
                 for i in range(self.replicates)]
 
 
-def _moment_block(spec: ModelSpec, T: int, burn_in: int, replicates: int,
-                  rng: np.random.Generator, r_values, delta_values) -> list:
+def _moment_block(spec: ModelSpec, exp: MomentsExperiment, replicates: int, rng: np.random.Generator) -> list:
     """Per-replicate moment summaries of one block after burn-in."""
-    fold = _MomentFold(replicates, r_values, delta_values)
+    T, burn_in = exp.T, exp.burn_in
+    fold = _MomentFold(replicates, exp.r_values, exp.delta_values)
     chunk = np.empty((replicates, min(T, _MOMENT_CHUNK)))
     state = block_state(spec, [default_window(spec)], replicates)
     for t, _, y, _ in _lockstep(spec, state, T + burn_in, rng):
@@ -377,36 +456,28 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     log scale together with the top-10-sample mass share, since a finite
     moment estimated by naive averaging fails silently under heavy tails.
     Replicates run in lockstep blocks, placed as in :func:`couple_ensemble`.
-    """
-    r_values = [float(r) for r in r_values]
-    delta_values = [float(d) for d in delta_values]
-    if not r_values or not delta_values:
-        raise ValueError("r_values and delta_values must be nonempty")
-    if any(r < 1 for r in r_values):
-        raise ValueError("polynomial orders must be >= 1")
-    if any(d <= 0 for d in delta_values):
-        raise ValueError("exponential scales must be positive")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    _check_lengths(T, burn_in)
 
-    tasks = [(spec, T, burn_in, size, master_seed, b, r_values, delta_values)
-             for b, size in _blocks(replicates)]
+    For large ``r``, ``|Y_t|_1 ** r`` can overflow; such estimates and
+    standard errors come out infinite or NaN without a warning.
+    """
+    exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
+    tasks = [(spec, exp, size, master_seed, b) for b, size in _blocks(replicates)]
     summaries = [row for block in _map_blocks(_moment_task, tasks, jobs) for row in block]
 
     total = sum(s[0] for s in summaries)
     polynomial = {}
-    for r in r_values:
-        means = np.array([s[1][r][0] for s in summaries])
-        estimate = float(np.mean(means))
-        if replicates > 1:
-            se = float(np.std(means, ddof=1) / np.sqrt(replicates))
-        else:
-            se = float(summaries[0][1][r][1] / np.sqrt(total))
-        polynomial[r] = PolynomialMoment(estimate, se)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in exp.r_values:
+            means = np.array([s[1][r][0] for s in summaries])
+            estimate = float(np.mean(means))
+            if replicates > 1:
+                se = float(np.std(means, ddof=1) / np.sqrt(replicates))
+            else:
+                se = float(summaries[0][1][r][1] / np.sqrt(total))
+            polynomial[r] = PolynomialMoment(estimate, se)
 
     exponential = {}
-    for delta in delta_values:
+    for delta in exp.delta_values:
         lses = np.array([s[2][delta][0] for s in summaries])
         counts = np.array([float(s[0]) for s in summaries])
         log_means = lses - np.log(counts)
@@ -435,8 +506,8 @@ def _couple_task(args) -> np.ndarray:
 
 
 def _moment_task(args) -> list:
-    spec, T, burn_in, size, master_seed, block, r_values, delta_values = args
-    return _moment_block(spec, T, burn_in, size, block_rng(master_seed, block), r_values, delta_values)
+    spec, exp, size, master_seed, block = args
+    return _moment_block(spec, exp, size, block_rng(master_seed, block))
 
 
 def _map_blocks(fn, tasks, jobs: int) -> list:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patch
     Dependence,
     Stream,
     checked_array,
+    checked_int,
     flag_entry,
     make_stream,
     shared_counts,
@@ -59,9 +59,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def from_mapping(cls, mapping: Mapping):
-    """A spec built from the mapping's entries named like its fields.
+    """A spec or experiment record built from the mapping's entries named like its fields.
 
-    A missing field without a default is passed as None, so the spec's own
+    A missing field without a default is passed as None, so the record's own
     check reports it; other keys are ignored.
     """
     kwargs = {}
@@ -84,14 +84,8 @@ def _nested(cls, value, path: str, problems: Problems):
 
 
 def _dimensions(spec, problems: Problems) -> bool:
-    """Whether ``p`` and ``q`` are positive integers (booleans are not)."""
-    ok = True
-    for name, what in (("p", "dimension"), ("q", "order")):
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-            problems.add(name, f"{what} must be a positive integer")
-            ok = False
-    return ok
+    """Whether ``p`` and ``q`` are positive integers; both are checked."""
+    return all([checked_int(spec.p, "p", problems, 1), checked_int(spec.q, "q", problems, 1)])
 
 
 def _per_lag(value, spec, path: str, expected: str, problems: Problems) -> list | None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -78,6 +79,15 @@ def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, probl
         at = tuple(int(i) for i in bad[0])
         problems.add(path + "".join(f"[{i}]" for i in at), message.format(arr[at]))
     return bool(bad.size)
+
+
+def checked_int(value, path: str, problems: Problems, minimum: int | None = None) -> bool:
+    """Whether ``value`` is an integer (booleans are not) of at least ``minimum``; files a problem if not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        problems.add(path, f"expected an integer{bound}, got {value!r}")
+        return False
+    return True
 
 
 def _splitmix64(x: int) -> int:

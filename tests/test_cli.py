@@ -251,6 +251,24 @@ def test_moments_command(tmp_path, capsys):
     assert document["results"]["polynomial"]["2.0"]["estimate"] == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize("changes", [
+    pytest.param({"T": 1, "burn_in": 0, "replicates": 1}, id="one-sample"),  # no standard error
+    pytest.param({"r_values": [400], "T": 200, "replicates": 2}, id="overflow"),  # of |Y|_1 ** 400 squared
+])
+def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes):
+    def no_constants(name):
+        raise AssertionError(f"report.json holds {name}, which is not JSON")
+
+    raw = yaml.safe_load((CONFIG_DIR / "ingarch_moments.yaml").read_text(encoding="utf-8"))
+    raw["experiment"].update(changes)
+    cfg = write(tmp_path, yaml.safe_dump(raw))
+    assert cli.main(["moments", "--config", cfg, "--out", str(tmp_path / "m"), "--seed", "7", "--jobs", "1"]) == 0
+    document = json.loads((tmp_path / "m" / "report.json").read_text(), parse_constant=no_constants)
+    stats = [v for m in document["results"]["polynomial"].values() for v in m.values()]
+    assert None in stats
+    assert "n/a" in capsys.readouterr().out
+
+
 def test_every_shipped_config_runs_quickly(tmp_path):
     commands = {
         "check": "check", "simulate": "simulate",

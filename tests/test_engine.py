@@ -10,7 +10,7 @@ from countsim.engine import (
     monte_carlo_moments,
     simulate,
 )
-from countsim.errors import DivergenceError
+from countsim.errors import ConfigError, DivergenceError
 from countsim.models import GinarSpec, ImmigrationSpec, IngarchSpec, LogLinearSpec, default_window
 
 
@@ -56,11 +56,24 @@ def test_ginar_scalar_long_run_mean():
     assert abs(series.mean() - 2.0) < 3 * se
 
 
-def test_simulate_validates_arguments():
-    with pytest.raises(ValueError):
-        simulate(iid_poisson1(), 0)
-    with pytest.raises(ValueError):
-        simulate(iid_poisson1(), 10, burn_in=-1)
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda spec, w: simulate(spec, 0), "T", id="simulate-T-zero"),
+    pytest.param(lambda spec, w: simulate(spec, 10.5), "T", id="simulate-T-float"),
+    pytest.param(lambda spec, w: simulate(spec, True, 0), "T", id="simulate-T-bool"),
+    pytest.param(lambda spec, w: simulate(spec, 10, burn_in=-1), "burn_in", id="simulate-burn_in-negative"),
+    pytest.param(lambda spec, w: couple(spec, 10.5, w, w), "n", id="couple-n-float"),
+    pytest.param(lambda spec, w: couple_ensemble(spec, 20, w, w, replicates=True), "replicates",
+                 id="couple_ensemble-replicates-bool"),
+    pytest.param(lambda spec, w: monte_carlo_moments(spec, [1.0], [0.1], T=100, replicates=2.5), "replicates",
+                 id="moments-replicates-float"),
+    pytest.param(lambda spec, w: monte_carlo_moments(spec, [], [0.1], T=100), "r_values",
+                 id="moments-r_values-empty"),
+])
+def test_library_arguments_are_checked_by_field(call, field):
+    spec = iid_poisson1()
+    with pytest.raises(ConfigError) as err:
+        call(spec, default_window(spec))
+    assert [problem.split(":")[0] for problem in err.value.problems] == [field]
 
 
 def test_simulate_divergence_reports_time_index():

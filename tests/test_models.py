@@ -91,7 +91,7 @@ def test_spec_problems_are_collected_with_paths():
                                   "immigration.values[0]: non-integer entry 1.5"]
     with pytest.raises(ConfigError) as err:
         IngarchSpec(True, 1, [1.0], ([["x"]],), ([[0.2]],))
-    assert err.value.problems == ["p: dimension must be a positive integer"]
+    assert err.value.problems == ["p: expected an integer >= 1, got True"]
     with pytest.raises(ConfigError) as err:
         LogLinearSpec(1, 1, [np.inf], ([["x"]],), ([[0.3]],), {"scheme": "gaussian"})
     assert err.value.problems == ["offset: contains non-finite entries",
