@@ -46,8 +46,6 @@ BLOCK_SIZE = 64
 
 _COUNT_LIMIT = float(2**62)
 _CSV_CHUNK_ROWS = 4096
-# Time steps of l1 sizes a moment block holds before folding them in.
-_MOMENT_CHUNK = 1024
 
 
 def _blocks(replicates: int) -> list[tuple[int, int]]:
@@ -64,10 +62,9 @@ def _lockstep(spec: ModelSpec, state, steps: int, rng: np.random.Generator):
     """
     for t in range(steps):
         try:
-            state, counts, intensity = step(spec, state, t, rng)
+            state, counts, intensity = step(spec, state, rng)
         except DivergenceError as exc:
-            if exc.time_index is None:
-                raise DivergenceError(str(exc), time_index=t) from exc
+            exc.time_index = t
             raise
         if counts.max() > _COUNT_LIMIT:
             raise DivergenceError("counts exceeded the 64-bit safe range", time_index=t)
@@ -383,65 +380,74 @@ def _logsumexp(values: np.ndarray, axis=None):
     return np.squeeze(m, axis) + np.log(np.sum(np.exp(values - m), axis=axis))
 
 
-class _MomentFold:
-    """Per-replicate statistics of a block's l1 sizes, folded in time chunks.
+def _batch_lengths(T: int) -> np.ndarray:
+    """Lengths of the ``isqrt(T)`` consecutive batches of a path of ``T`` steps.
 
-    For every replicate it keeps the mean and the sum of squared deviations
-    of ``s ** r`` (chunk statistics merged as in Chan, Golub & LeVeque), the
-    log-sum-exp of ``delta * s`` and of ``2 * delta * s`` and the ten largest
-    ``delta * s``, so memory stays O(replicates * chunk) for any path length.
+    Batch ``i`` ends at ``(i + 1) * T // isqrt(T)``, so lengths differ by at most one.
+    """
+    batches = math.isqrt(T)
+    return np.diff(np.arange(1, batches + 1) * T // batches, prepend=0)
+
+
+def _relative_se(log_means: np.ndarray) -> float:
+    """Standard error of the mean of ``exp(log_means)``, relative to that mean.
+
+    The spread is taken after shifting by the largest unit, so it is finite
+    whenever every unit is.  NaN (undefined) for fewer than two units or an
+    infinite unit; 0 when every unit is zero.
+    """
+    shift = np.max(log_means)
+    if len(log_means) < 2 or shift == np.inf:
+        return math.nan
+    if shift == -np.inf:
+        return 0.0
+    scaled = np.exp(log_means - shift)
+    return float(np.std(scaled, ddof=1) / (np.mean(scaled) * math.sqrt(len(scaled))))
+
+
+class _MomentFold:
+    """Per-replicate, per-batch statistics of a block's l1 sizes.
+
+    Each replicate's path of ``T`` sizes is cut into the batches of
+    :func:`_batch_lengths`; sizes go into a buffer one batch long, and a full
+    batch is folded into its cell: the sum of ``s ** r`` and the log-sum-exp
+    of ``delta * s``.  The ten largest ``delta * s`` of every replicate are
+    kept as well, so memory is O(replicates * sqrt(T)).
     """
 
-    def __init__(self, replicates: int, r_values, delta_values):
-        self.replicates, self.n = replicates, 0
-        self.mean = {r: np.zeros(replicates) for r in r_values}
-        self.m2 = {r: np.zeros(replicates) for r in r_values}
-        self.lse = {d: np.full((2, replicates), -np.inf) for d in delta_values}
+    def __init__(self, replicates: int, T: int, r_values, delta_values):
+        self.lengths = _batch_lengths(T)
+        self.batch = self.fill = 0
+        self.buffer = np.empty((replicates, self.lengths.max()))
+        self.sums = {r: np.empty((replicates, len(self.lengths))) for r in r_values}
+        self.lse = {d: np.empty((replicates, len(self.lengths))) for d in delta_values}
         self.top = {d: np.empty((replicates, 0)) for d in delta_values}
 
-    def add(self, sizes: np.ndarray) -> None:
-        """Fold in a ``(replicates, k)`` chunk of l1 sizes."""
-        k = sizes.shape[1]
-        n = self.n + k
-        with np.errstate(over="ignore", invalid="ignore"):  # see monte_carlo_moments
-            for r in self.mean:
-                x = sizes**r
-                mean = x.mean(axis=1)
-                gap = mean - self.mean[r]
-                self.m2[r] += np.sum((x - mean[:, None]) ** 2, axis=1) + gap**2 * (self.n * k / n)
-                self.mean[r] += gap * (k / n)
+    def push(self, sizes: np.ndarray) -> None:
+        """Append one step's l1 sizes, one per replicate."""
+        self.buffer[:, self.fill] = sizes
+        self.fill += 1
+        if self.fill < self.lengths[self.batch]:
+            return
+        batch = self.buffer[:, :self.fill]
+        with np.errstate(over="ignore"):  # see monte_carlo_moments
+            for r in self.sums:
+                self.sums[r][:, self.batch] = np.sum(batch**r, axis=1)
         for d in self.lse:
-            scaled = d * sizes
-            chunk_lse = np.stack((_logsumexp(scaled, axis=1), _logsumexp(2.0 * scaled, axis=1)))
-            self.lse[d] = np.logaddexp(self.lse[d], chunk_lse)
+            scaled = d * batch
+            self.lse[d][:, self.batch] = _logsumexp(scaled, axis=1)
             self.top[d] = np.sort(np.concatenate((self.top[d], scaled), axis=1), axis=1)[:, -10:]
-        self.n = n
-
-    def summaries(self) -> list:
-        """One ``(n, {r: (mean, std)}, {delta: (lse, lse of 2x, top 10)})`` per replicate."""
-        # Undefined (NaN) for a single sample, as np.std with ddof=1.
-        std = {r: np.sqrt(self.m2[r] / (self.n - 1)) if self.n > 1 else np.full(self.replicates, np.nan)
-               for r in self.m2}
-        return [(self.n,
-                 {r: (float(self.mean[r][i]), float(std[r][i])) for r in self.mean},
-                 {d: (float(self.lse[d][0, i]), float(self.lse[d][1, i]), self.top[d][i].tolist())
-                  for d in self.lse})
-                for i in range(self.replicates)]
+        self.batch, self.fill = self.batch + 1, 0
 
 
-def _moment_block(spec: ModelSpec, exp: MomentsExperiment, replicates: int, rng: np.random.Generator) -> list:
-    """Per-replicate moment summaries of one block after burn-in."""
-    T, burn_in = exp.T, exp.burn_in
-    fold = _MomentFold(replicates, exp.r_values, exp.delta_values)
-    chunk = np.empty((replicates, min(T, _MOMENT_CHUNK)))
+def _moment_block(spec: ModelSpec, exp: MomentsExperiment, replicates: int, rng: np.random.Generator) -> tuple:
+    """``(sums, lse, top)`` of :class:`_MomentFold` for one block after burn-in."""
+    fold = _MomentFold(replicates, exp.T, exp.r_values, exp.delta_values)
     state = block_state(spec, [default_window(spec)], replicates)
-    for t, _, y, _ in _lockstep(spec, state, T + burn_in, rng):
-        if t >= burn_in:
-            i = (t - burn_in) % chunk.shape[1]
-            chunk[:, i] = y[0].sum(axis=1)
-            if i == chunk.shape[1] - 1 or t == T + burn_in - 1:
-                fold.add(chunk[:, :i + 1])
-    return fold.summaries()
+    for t, _, y, _ in _lockstep(spec, state, exp.T + exp.burn_in, rng):
+        if t >= exp.burn_in:
+            fold.push(y[0].sum(axis=1))
+    return fold.sums, fold.lse, fold.top
 
 
 def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
@@ -450,51 +456,47 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     """Estimate polynomial and exponential moments of |Y_t|_1 by pooling.
 
     Polynomial moments are plain averages of ``|Y_t|_1 ** r`` pooled over
-    replicates, with the standard error taken across replicate means (a
-    within-path fallback is used for a single replicate).  Exponential
-    moments are accumulated in log space (log-sum-exp) and reported on the
-    log scale together with the top-10-sample mass share, since a finite
-    moment estimated by naive averaging fails silently under heavy tails.
-    Replicates run in lockstep blocks, placed as in :func:`couple_ensemble`.
+    replicates.  Exponential moments are accumulated in log space
+    (log-sum-exp) and reported on the log scale together with the
+    top-10-sample mass share, since a finite moment estimated by naive
+    averaging fails silently under heavy tails.  Replicates run in lockstep
+    blocks, placed as in :func:`couple_ensemble`.
 
-    For large ``r``, ``|Y_t|_1 ** r`` can overflow; such estimates and
-    standard errors come out infinite or NaN without a warning.
+    Every standard error follows one batch-means rule: the units are the
+    replicates when there are at least two, otherwise the ``isqrt(T)``
+    consecutive batches of the single path, so serial dependence within a
+    path is accounted for either way.  The relative spread of the unit means
+    is the standard error of the log estimate, and the estimate times that
+    spread the standard error of a polynomial moment.  Fewer than two units
+    leave it undefined (NaN).  Per-batch statistics take memory that grows
+    as ``sqrt(T)``.
+
+    For large ``r``, ``|Y_t|_1 ** r`` can overflow; such estimates come out
+    infinite and their standard errors NaN, without a warning.
     """
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
     tasks = [(spec, exp, size, master_seed, b) for b, size in _blocks(replicates)]
-    summaries = [row for block in _map_blocks(_moment_task, tasks, jobs) for row in block]
+    blocks = _map_blocks(_moment_task, tasks, jobs)
+    total = replicates * T
+    by_replicate = replicates > 1  # else the units are the batches of the one path
+    counts = np.full(replicates, float(T)) if by_replicate else _batch_lengths(T).astype(float)
 
-    total = sum(s[0] for s in summaries)
     polynomial = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in exp.r_values:
-            means = np.array([s[1][r][0] for s in summaries])
-            estimate = float(np.mean(means))
-            if replicates > 1:
-                se = float(np.std(means, ddof=1) / np.sqrt(replicates))
-            else:
-                se = float(summaries[0][1][r][1] / np.sqrt(total))
-            polynomial[r] = PolynomialMoment(estimate, se)
+    for r in exp.r_values:
+        sums = np.concatenate([block[0][r] for block in blocks])
+        with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf marks an all-zero unit
+            estimate = float(np.sum(sums / total))
+            log_means = np.log((sums / T).sum(axis=1) if by_replicate else sums[0] / counts)
+        polynomial[r] = PolynomialMoment(estimate, estimate * _relative_se(log_means))
 
     exponential = {}
     for delta in exp.delta_values:
-        lses = np.array([s[2][delta][0] for s in summaries])
-        counts = np.array([float(s[0]) for s in summaries])
-        log_means = lses - np.log(counts)
+        lses = np.concatenate([block[1][delta] for block in blocks])
         total_lse = _logsumexp(lses)
-        log_estimate = total_lse - np.log(total)
-        if replicates > 1:
-            # Delta method across replicate means, evaluated in shifted space.
-            shift = float(np.max(log_means))
-            scaled = np.exp(log_means - shift)
-            se = float(np.std(scaled, ddof=1) / (np.mean(scaled) * np.sqrt(replicates)))
-        else:
-            lse2 = summaries[0][2][delta][1]
-            ratio = np.exp(lse2 + np.log(total) - 2.0 * lses[0]) - 1.0
-            se = float(np.sqrt(max(ratio, 0.0) / total))
-        top10_all = np.sort(np.concatenate([np.asarray(s[2][delta][2]) for s in summaries]))[-10:]
+        se = _relative_se((_logsumexp(lses, axis=1) if by_replicate else lses[0]) - np.log(counts))
+        top10_all = np.sort(np.concatenate([block[2][delta] for block in blocks], axis=None))[-10:]
         top10_share = float(np.exp(_logsumexp(top10_all) - total_lse))
-        exponential[delta] = ExponentialMoment(float(log_estimate), se, top10_share, top10_share > 0.5)
+        exponential[delta] = ExponentialMoment(float(total_lse - np.log(total)), se, top10_share, top10_share > 0.5)
 
     return MomentReport(polynomial, exponential, total, burn_in, replicates,
                         lineage=(int(master_seed),))
@@ -505,7 +507,7 @@ def _couple_task(args) -> np.ndarray:
     return _couple_block(spec, n, wa, wb, size, block_rng(master_seed, block))
 
 
-def _moment_task(args) -> list:
+def _moment_task(args) -> tuple:
     spec, exp, size, master_seed, block = args
     return _moment_block(spec, exp, size, block_rng(master_seed, block))
 

@@ -396,7 +396,7 @@ def ingarch_block_step(spec: IngarchSpec, state, rng: np.random.Generator):
     return (_push(y, counts), _push(prev_lam, lam)), counts, lam
 
 
-def loglinear_block_step(spec: LogLinearSpec, state, rng: np.random.Generator, t: int | None = None):
+def loglinear_block_step(spec: LogLinearSpec, state, rng: np.random.Generator):
     """One log-linear transition of a block; returns ``(state, counts, lambda)``.
 
     Raises :class:`DivergenceError` if any component of mu exceeds 700,
@@ -405,16 +405,13 @@ def loglinear_block_step(spec: LogLinearSpec, state, rng: np.random.Generator, t
     log1p_y, prev_mu = state
     mu = spec.offset + (_lag_sum(spec.mu_matrices, prev_mu) + _lag_sum(spec.logcount_matrices, log1p_y))
     if mu.max() > MU_LIMIT:
-        raise DivergenceError(
-            f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary",
-            time_index=t,
-        )
+        raise DivergenceError(f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary")
     lam = np.exp(mu)
     counts = shared_counts(rng, spec.dependence, lam)
     return (_push(log1p_y, np.log1p(counts)), _push(prev_mu, mu)), counts, lam
 
 
-def step(spec: ModelSpec, state, t: int, rng: np.random.Generator):
+def step(spec: ModelSpec, state, rng: np.random.Generator):
     """Uniform one-step dispatch over the three families for a block state.
 
     Returns ``(new_state, counts, intensity)``: counts and intensity have
@@ -429,7 +426,7 @@ def step(spec: ModelSpec, state, t: int, rng: np.random.Generator):
     if isinstance(spec, IngarchSpec):
         return ingarch_block_step(spec, state, rng)
     if isinstance(spec, LogLinearSpec):
-        return loglinear_block_step(spec, state, rng, t)
+        return loglinear_block_step(spec, state, rng)
     raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
 
 

@@ -251,11 +251,13 @@ def test_moments_command(tmp_path, capsys):
     assert document["results"]["polynomial"]["2.0"]["estimate"] == pytest.approx(2.0, abs=0.1)
 
 
-@pytest.mark.parametrize("changes", [
-    pytest.param({"T": 1, "burn_in": 0, "replicates": 1}, id="one-sample"),  # no standard error
-    pytest.param({"r_values": [400], "T": 200, "replicates": 2}, id="overflow"),  # of |Y|_1 ** 400 squared
+@pytest.mark.parametrize("changes, nulls", [
+    pytest.param({"T": 1, "burn_in": 0, "replicates": 1},  # no standard error
+                 [("polynomial", "1.0", "std_error"), ("exponential", "0.1", "std_error")], id="one-sample"),
+    pytest.param({"r_values": [1000], "T": 200, "replicates": 2},  # |Y|_1 ** 1000 overflows
+                 [("polynomial", "1000.0", "estimate")], id="overflow"),
 ])
-def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes):
+def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes, nulls):
     def no_constants(name):
         raise AssertionError(f"report.json holds {name}, which is not JSON")
 
@@ -264,8 +266,8 @@ def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes):
     cfg = write(tmp_path, yaml.safe_dump(raw))
     assert cli.main(["moments", "--config", cfg, "--out", str(tmp_path / "m"), "--seed", "7", "--jobs", "1"]) == 0
     document = json.loads((tmp_path / "m" / "report.json").read_text(), parse_constant=no_constants)
-    stats = [v for m in document["results"]["polynomial"].values() for v in m.values()]
-    assert None in stats
+    for kind, key, stat in nulls:
+        assert document["results"][kind][key][stat] is None
     assert "n/a" in capsys.readouterr().out
 
 

@@ -83,6 +83,18 @@ def test_simulate_divergence_reports_time_index():
     assert err.value.time_index is not None
 
 
+def test_divergence_index_is_the_first_step_that_fails():
+    spec = LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],))
+    with pytest.raises(DivergenceError) as err:
+        simulate(spec, 100, 0, master_seed=8)
+    k = err.value.time_index
+    assert k is not None and k > 0
+    assert simulate(spec, k, 0, master_seed=8).length == k
+    with pytest.raises(DivergenceError) as err:
+        simulate(spec, k + 1, 0, master_seed=8)
+    assert err.value.time_index == k
+
+
 def test_csv_export_layout(tmp_path):
     path = simulate(stationary_2d(), 50, 10, master_seed=5)
     out = tmp_path / "path.csv"
@@ -300,20 +312,55 @@ def test_saturation_flag_reports_heavy_domination():
     assert near.saturated == (near.top10_share > 0.5)
 
 
-def test_moment_fold_over_chunks_matches_whole_path_statistics():
-    from countsim.engine import _MomentFold, _logsumexp
+def test_moment_fold_batches_match_direct_statistics():
+    from countsim.engine import _batch_lengths, _logsumexp, _MomentFold
 
-    sizes = np.random.default_rng(14).poisson(6.0, size=(3, 2500)).astype(float)
-    fold = _MomentFold(3, [1.0, 2.5], [0.3])
-    for start in range(0, 2500, 1024):
-        fold.add(sizes[:, start:start + 1024])
-    for row, (n, poly, expo) in zip(sizes, fold.summaries()):
-        assert n == 2500
+    def ends(T):
+        return [(i + 1) * T // math.isqrt(T) for i in range(math.isqrt(T))]
+
+    for T in (1, 2, 99, 100, 101, 5000):
+        lengths = _batch_lengths(T)
+        assert np.cumsum(lengths).tolist() == ends(T) and ends(T)[-1] == T
+        assert lengths.min() >= 1
+    T = 2507  # 50 batches of 50 or 51 steps
+    sizes = np.random.default_rng(14).poisson(6.0, size=(3, T)).astype(float)
+    fold = _MomentFold(3, T, [1.0, 2.5], [0.3])
+    for column in sizes.T:
+        fold.push(column)
+    for i, (start, end) in enumerate(zip([0] + ends(T)[:-1], ends(T))):
+        batch = sizes[:, start:end]
         for r in (1.0, 2.5):
-            assert poly[r] == pytest.approx((np.mean(row**r), np.std(row**r, ddof=1)), rel=1e-12)
-        lse, lse2, top = expo[0.3]
-        assert (lse, lse2) == pytest.approx((_logsumexp(0.3 * row), _logsumexp(0.6 * row)), rel=1e-12)
-        assert top == np.sort(0.3 * row)[-10:].tolist()
+            np.testing.assert_allclose(fold.sums[r][:, i], np.sum(batch**r, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(fold.lse[0.3][:, i], _logsumexp(0.3 * batch, axis=1), rtol=1e-12)
+    assert np.array_equal(fold.top[0.3], np.sort(0.3 * sizes, axis=1)[:, -10:])
+
+
+def test_single_replicate_standard_error_accounts_for_dependence():
+    # rho(A + B) = 0.95: one path's mean is strongly autocorrelated, so the
+    # i.i.d. formula on it would read about a fifth of the true spread,
+    # taken here from 16 independent replicates.
+    spec = IngarchSpec(1, 1, [0.5], ([[0.6]],), ([[0.35]],))
+    kwargs = dict(r_values=[1.0], delta_values=[0.05], T=20000, burn_in=1000, master_seed=2)
+    one = monte_carlo_moments(spec, replicates=1, **kwargs)
+    many = monte_carlo_moments(spec, replicates=16, **kwargs)
+    for a, b in ((one.polynomial[1.0], many.polynomial[1.0]), (one.exponential[0.05], many.exponential[0.05])):
+        assert 0.5 <= a.std_error / (math.sqrt(16) * b.std_error) <= 2.0
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+def test_zero_paths_have_zero_standard_errors(replicates):
+    spec = GinarSpec(1, 1, ([[0.0]],), "bernoulli", ImmigrationSpec("constant", [0]))
+    report = monte_carlo_moments(spec, [1.0, 2.0], [0.1], T=100, burn_in=10, replicates=replicates)
+    assert [m.estimate for m in report.polynomial.values()] == [0.0, 0.0]
+    assert [m.std_error for m in (*report.polynomial.values(), *report.exponential.values())] == [0.0] * 3
+
+
+def test_polynomial_standard_error_finite_while_the_estimate_is():
+    # |Y|_1 ** 400 squared overflows, but the spread is taken of scaled means.
+    poly = monte_carlo_moments(iid_poisson1(), [400.0], [0.1], T=200, burn_in=500,
+                               replicates=2, master_seed=7).polynomial[400.0]
+    assert math.isfinite(poly.estimate)
+    assert math.isfinite(poly.std_error) and poly.std_error > 0
 
 
 def test_moments_reproducible_and_parallel_consistent():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from countsim.engine import couple
 from countsim.errors import ConfigError, ConfigurationError, DivergenceError
 from countsim.models import (
     GinarSpec,
@@ -13,7 +14,6 @@ from countsim.models import (
     default_window,
     ginar_step,
     ingarch_intensity,
-    loglinear_block_step,
     loglinear_mu,
     step,
     validate_window,
@@ -33,7 +33,7 @@ def ingarch_1d(d=1.0, a=0.3, b=0.5):
 
 def one_step(spec, window, replicates, seed):
     """Counts and intensity of one batched step of ``replicates`` copies of a window."""
-    _, counts, intensity = step(spec, block_state(spec, [window], replicates), 0, block_rng(seed, 0))
+    _, counts, intensity = step(spec, block_state(spec, [window], replicates), block_rng(seed, 0))
     return counts[0], intensity[0]
 
 
@@ -181,7 +181,7 @@ def test_ingarch_intensity_dominates_offset_along_path():
     state = block_state(spec, [default_window(spec)], 8)
     rng = block_rng(5, 0)
     for t in range(500):
-        state, _, lam = step(spec, state, t, rng)
+        state, _, lam = step(spec, state, rng)
         assert np.all(lam >= spec.intensity_offset - 1e-12)
 
 
@@ -189,7 +189,7 @@ def test_ingarch_intensity_dominates_offset_along_path():
 
 def test_loglinear_zero_parameters_unit_intensity():
     spec = LogLinearSpec(1, 1, [0.0], ([[0.0]],), ([[0.0]],))
-    state, _, lam = step(spec, block_state(spec, [[(np.zeros(1), np.zeros(1))]]), 0, block_rng(6, 0))
+    state, _, lam = step(spec, block_state(spec, [[(np.zeros(1), np.zeros(1))]]), block_rng(6, 0))
     assert state[1][0, 0, 0, 0] == 0.0  # mu
     assert lam[0, 0, 0] == 1.0
 
@@ -213,12 +213,12 @@ def test_loglinear_counts_mean_matches_intensity():
     assert abs(draws.mean() - lam_target) < 3 * se
 
 
-def test_loglinear_divergence_carries_time_index():
+def test_loglinear_divergence_is_tagged_at_the_first_step():
+    # mu = 0.5 + 1.3 * 600 exceeds the limit on the first step of the coupled pair.
     spec = LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],))
-    state = block_state(spec, [[(np.zeros(1), np.array([600.0]))]])
-    with pytest.raises(DivergenceError) as err:
-        loglinear_block_step(spec, state, block_rng(8, 0), t=3)
-    assert err.value.time_index == 3
+    with pytest.raises(DivergenceError, match="log intensity exceeded") as err:
+        couple(spec, 10, [(np.zeros(1), np.array([600.0]))], default_window(spec), master_seed=8)
+    assert err.value.time_index == 0
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_step_matches_ginar_step_bit_exactly():
     state = block_state(spec, [[x]])
     rng, ref = block_rng(9, 1), block_rng(9, 1)
     for t in range(20):
-        state, counts, mean = step(spec, state, t, rng)
+        state, counts, mean = step(spec, state, rng)
         np.testing.assert_allclose(mean[0, 0], spec.immigration.mean() + spec.mean_matrices[0] @ x, rtol=1e-15)
         immigration = ref.poisson(spec.immigration.values)
         thinned = ref.binomial(np.broadcast_to(x, (2, 2)), spec.mean_matrices[0]).sum(axis=1)
@@ -248,7 +248,7 @@ def test_step_matches_ingarch_step_bit_exactly():
     state = block_state(spec, [window])
     rng, ref = block_rng(10, 1), block_rng(10, 1)
     for t in range(20):
-        state, counts, lam = step(spec, state, t, rng)
+        state, counts, lam = step(spec, state, rng)
         assert np.array_equal(lam[0, 0], ingarch_intensity(spec, window))
         assert np.array_equal(counts[0, 0], ref.poisson(lam[0, 0]))
         window = [(counts[0, 0], lam[0, 0])]
@@ -260,7 +260,7 @@ def test_step_matches_loglinear_step_bit_exactly():
     state = block_state(spec, [window])
     rng, ref = block_rng(11, 1), block_rng(11, 1)
     for t in range(20):
-        state, counts, lam = step(spec, state, t, rng)
+        state, counts, lam = step(spec, state, rng)
         mu = loglinear_mu(spec, window)
         assert np.array_equal(lam[0, 0], np.exp(mu))
         assert np.array_equal(counts[0, 0], ref.poisson(np.exp(mu)))
@@ -275,7 +275,7 @@ def test_step_keeps_window_length():
     assert [part.shape for part in state] == [(2, 5, 3, 1)] * 2
     rng = block_rng(12, 0)
     for t in range(10):
-        state, _, _ = step(spec, state, t, rng)
+        state, _, _ = step(spec, state, rng)
         assert [part.shape for part in state] == [(2, 5, 3, 1)] * 2
 
 
@@ -283,9 +283,9 @@ def test_step_rejects_mismatched_state():
     gspec = ginar_2d()
     ispec = ingarch_1d()
     with pytest.raises(ConfigurationError):
-        step(gspec, block_state(ispec, [default_window(ispec)]), 0, block_rng(1, 0))
+        step(gspec, block_state(ispec, [default_window(ispec)]), block_rng(1, 0))
     with pytest.raises(ConfigurationError):
-        step(ispec, block_state(gspec, [default_window(gspec)]), 0, block_rng(1, 0))
+        step(ispec, block_state(gspec, [default_window(gspec)]), block_rng(1, 0))
 
 
 def test_ginar_order_two_equals_hand_stacked_pair_map():
@@ -298,7 +298,7 @@ def test_ginar_order_two_equals_hand_stacked_pair_map():
     rng, ref = block_rng(13, 0), block_rng(13, 0)
     cur, prev = 4, 2
     for t in range(60):
-        state, got, _ = step(spec, state, t, rng)
+        state, got, _ = step(spec, state, rng)
 
         immigration = ref.poisson(1.0)
         thinned = ref.binomial([cur, prev], [0.3, 0.2])
