@@ -11,10 +11,10 @@ Each model advances a window of its ``q`` most recent composite states
 
 Specs are immutable and shareable.  A block of replicates, each with one or
 two coupled chains, advances in lockstep through :func:`step`: its state is
-a tuple of ``(chains, replicates, q, p)`` arrays holding the windows (see
-:func:`block_state`).  The log-linear window stores ``(log(1 + y), mu)``
-pairs, the coordinates in which that model contracts, so coupling distances
-are measured where contraction actually happens.
+one ``(chains, replicates, k)`` array of companion-form windows (see
+:func:`block_state`).  The log-linear one holds mu and ``log(1 + y)``, the
+coordinates in which that model contracts, so coupling distances are
+measured where contraction actually happens.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, Problems
 from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patches it here)
     COUNTING_FAMILIES,
+    INTENSITY_LIMIT,
     CountingCache,
     Dependence,
     Stream,
@@ -40,8 +42,11 @@ from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patch
     thinning,
 )
 
-#: Any component of mu exceeding this makes exp(mu) useless; treat as blow-up.
-MU_LIMIT = 700.0
+#: Any component of mu above this puts lambda past the intensity limit; treat as blow-up.
+MU_LIMIT = float(np.log(INTENSITY_LIMIT))
+
+#: GINAR counts above this are refused: thinning needs them exact in 64 bits.
+COUNT_LIMIT = 2**62
 
 IMMIGRATION_FAMILIES = ("poisson", "geometric", "constant")
 
@@ -107,6 +112,25 @@ def _matrices(spec, name: str, rule: str, problems: Problems) -> tuple[np.ndarra
         return None
     mats = [checked_array(m, (spec.p, spec.p), f"{name}[{i}]", problems, rule) for i, m in enumerate(items)]
     return None if any(m is None for m in mats) else tuple(_freeze(m) for m in mats)
+
+
+def _companion_map(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The stepping matrix ``C`` and offset ``c`` of a :func:`block_state` of the spec.
+
+    ``state @ C.T + c`` puts the conditional mean, lambda or mu in the newest
+    lead slot, moves every other lag back by one and zeroes the newest count.
+    """
+    p, q = spec.p, spec.q
+    if isinstance(spec, GinarSpec):
+        lead, offset = spec.mean_matrices, spec.immigration.mean()
+    elif isinstance(spec, IngarchSpec):
+        lead, offset = spec.lambda_matrices + spec.count_matrices, spec.intensity_offset
+    else:
+        lead, offset = spec.mu_matrices + spec.logcount_matrices, spec.offset
+    matrix = np.eye(len(lead) * p, k=-p)  # each lag takes the one before it,
+    matrix[:p] = np.hstack(lead)  # but the newest lead lag is the map's linear part
+    matrix[q * p:(q + 1) * p] = 0.0  # and the newest count lag is drawn (GINAR has none)
+    return _freeze(matrix), _freeze(np.concatenate((offset, np.zeros(len(matrix) - p))))
 
 
 def _intensity_fields(spec, offset: str, matrices: tuple[str, str], rule: str) -> None:
@@ -176,6 +200,8 @@ class GinarSpec:
     mean_matrices: tuple[np.ndarray, ...]
     counting_family: str = "bernoulli"
     immigration: ImmigrationSpec | None = None
+    kind: ClassVar[str] = "ginar"
+    stepping = cached_property(_companion_map)
 
     def __post_init__(self):
         problems = Problems()
@@ -193,10 +219,6 @@ class GinarSpec:
         problems.raise_if_any()
         object.__setattr__(self, "mean_matrices", mats)
         object.__setattr__(self, "immigration", immigration)
-
-    @property
-    def kind(self) -> str:
-        return "ginar"
 
     @cached_property
     def stacked_means(self) -> np.ndarray:
@@ -217,13 +239,11 @@ class IngarchSpec:
     lambda_matrices: tuple[np.ndarray, ...]
     count_matrices: tuple[np.ndarray, ...]
     dependence: Dependence = field(default_factory=Dependence)
+    kind: ClassVar[str] = "ingarch"
+    stepping = cached_property(_companion_map)
 
     def __post_init__(self):
         _intensity_fields(self, "intensity_offset", ("lambda_matrices", "count_matrices"), "nonnegative")
-
-    @property
-    def kind(self) -> str:
-        return "ingarch"
 
 
 @dataclass(frozen=True)
@@ -239,13 +259,11 @@ class LogLinearSpec:
     mu_matrices: tuple[np.ndarray, ...]
     logcount_matrices: tuple[np.ndarray, ...]
     dependence: Dependence = field(default_factory=Dependence)
+    kind: ClassVar[str] = "loglinear"
+    stepping = cached_property(_companion_map)
 
     def __post_init__(self):
         _intensity_fields(self, "offset", ("mu_matrices", "logcount_matrices"), "real")
-
-    @property
-    def kind(self) -> str:
-        return "loglinear"
 
 
 ModelSpec = GinarSpec | IngarchSpec | LogLinearSpec
@@ -343,96 +361,87 @@ def loglinear_mu(spec: LogLinearSpec, window) -> np.ndarray:
     return mu
 
 
-def block_state(spec: ModelSpec, windows, replicates: int = 1) -> tuple[np.ndarray, ...]:
+def block_state(spec: ModelSpec, windows, replicates: int = 1) -> np.ndarray:
     """Stack validated windows, one per chain, into a block state.
 
     Every replicate of chain ``c`` starts from ``windows[c]``.  The state is
-    ``(counts,)`` for GINAR, ``(counts, lambda)`` for the linear model and
-    ``(log(1 + counts), mu)`` for the log-linear one, each array of shape
-    ``(chains, replicates, q, p)`` with the most recent lag first.
+    one ``(chains, replicates, k)`` array, most recent lag first: the ``q``
+    counts of a GINAR window (int64), or the ``q`` lambdas (mus) followed by
+    the ``q`` counts (``log(1 + counts)``) of an intensity window (float).
     """
-    fields = 1 if isinstance(spec, GinarSpec) else 2
-    state = []
-    for f in range(fields):
-        stacked = np.array([[entry if fields == 1 else entry[f] for entry in window] for window in windows])
-        state.append(np.repeat(stacked[:, None], replicates, axis=1))
-    return tuple(state)
+    if isinstance(spec, GinarSpec):
+        rows = np.array([np.concatenate(window) for window in windows], dtype=np.int64)
+    else:
+        rows = np.array([np.concatenate([lead for _, lead in w] + [y for y, _ in w]) for w in windows], dtype=float)
+    return np.repeat(rows[:, None], replicates, axis=1)
 
 
-def _lag_sum(mats, window: np.ndarray) -> np.ndarray:
-    """``sum_j mats[j] @ window[c, r, j]`` for every chain and replicate."""
-    total = window[:, :, 0] @ mats[0].T
-    for j in range(1, len(mats)):
-        total = total + window[:, :, j] @ mats[j].T
-    return total
-
-
-def _push(window: np.ndarray, newest: np.ndarray) -> np.ndarray:
-    """Prepend the newest lag and drop the oldest."""
-    if window.shape[2] == 1:
-        return newest[:, :, None]
-    return np.concatenate((newest[:, :, None], window[:, :, :-1]), axis=2)
-
-
-def ginar_block_step(spec: GinarSpec, state, rng: np.random.Generator):
+def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
     """One GINAR transition of a block: shared immigration plus thinning.
 
     Returns ``(state, counts, mean)``; ``mean`` is the conditional mean
-    ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.
+    ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.  Lags stay
+    int64, so thinning reads them exactly.
     """
-    (x,) = state
-    counts = spec.immigration.sample(rng, x.shape[1]) \
-        + shared_thinning(rng, spec.counting_family, spec.stacked_means, x)
-    mean = spec.immigration.mean() + _lag_sum(spec.mean_matrices, x)
-    return (_push(x, counts),), counts, mean
+    p = spec.p
+    counts = spec.immigration.sample(rng, state.shape[1]) + shared_thinning(
+        rng, spec.counting_family, spec.stacked_means, state.reshape(state.shape[:2] + (spec.q, p)))
+    if counts.max() > COUNT_LIMIT:
+        raise DivergenceError("counts exceeded the 64-bit safe range")  # the only guard GINAR has
+    lags = counts if spec.q == 1 else np.concatenate((counts, state[:, :, :-p]), axis=2)
+    return lags, counts, drift[:, :, :p]
 
 
-def ingarch_block_step(spec: IngarchSpec, state, rng: np.random.Generator):
-    """One linear-intensity transition of a block; returns ``(state, counts, lambda)``."""
-    y, prev_lam = state
-    lam = spec.intensity_offset + (_lag_sum(spec.lambda_matrices, prev_lam)
-                                   + _lag_sum(spec.count_matrices, y))
+def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
+    """One linear-intensity transition of a block; returns ``(state, counts, lambda)``.
+
+    The one range check is ``shared_counts``' lambda <= 1e18, which keeps the
+    counts far below the 64-bit limit; lambda >= 0 by the nonnegative coefficients.
+    """
+    p, q = spec.p, spec.q
+    lam = drift[:, :, :p]
     counts = shared_counts(rng, spec.dependence, lam)
-    return (_push(y, counts), _push(prev_lam, lam)), counts, lam
+    drift[:, :, q * p:(q + 1) * p] = counts
+    return drift, counts, lam
 
 
-def loglinear_block_step(spec: LogLinearSpec, state, rng: np.random.Generator):
+def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
     """One log-linear transition of a block; returns ``(state, counts, lambda)``.
 
-    Raises :class:`DivergenceError` if any component of mu exceeds 700,
-    which parameter choices violating the stability condition can produce.
+    Raises :class:`DivergenceError` if a component of mu is NaN or exceeds :data:`MU_LIMIT`,
+    as parameters violating the stability condition can make it; below it counts are in range.
     """
-    log1p_y, prev_mu = state
-    mu = spec.offset + (_lag_sum(spec.mu_matrices, prev_mu) + _lag_sum(spec.logcount_matrices, log1p_y))
-    if mu.max() > MU_LIMIT:
+    p, q = spec.p, spec.q
+    mu = drift[:, :, :p]
+    if not mu.max() <= MU_LIMIT:  # also true for NaN
         raise DivergenceError(f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary")
     lam = np.exp(mu)
     counts = shared_counts(rng, spec.dependence, lam)
-    return (_push(log1p_y, np.log1p(counts)), _push(prev_mu, mu)), counts, lam
+    drift[:, :, q * p:(q + 1) * p] = np.log1p(counts)
+    return drift, counts, lam
 
 
-def step(spec: ModelSpec, state, rng: np.random.Generator):
+def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     """Uniform one-step dispatch over the three families for a block state.
 
     Returns ``(new_state, counts, intensity)``: counts and intensity have
     shape ``(chains, replicates, p)`` and ``intensity`` is the conditional
     mean of the counts given the window.  Every chain of a replicate
-    consumes the same noise.
+    consumes the same noise, drawn into the state mapped by ``spec.stepping``.
     """
-    if len(state) != (1 if isinstance(spec, GinarSpec) else 2):
+    matrix, offset = spec.stepping
+    if state.shape[2:] != offset.shape or (state.dtype.kind == "i") != isinstance(spec, GinarSpec):
         raise ConfigurationError(f"block state does not match a {spec.kind} model")
+    # einsum adds the products in order, unfused, so p = q = 1 keeps the bits of
+    # d + (A lambda + B y); BLAS matmul fuses them, an ulp off in one step in ten.
+    drift = np.einsum("crk,jk->crj", state, matrix) + offset
     if isinstance(spec, GinarSpec):
-        return ginar_block_step(spec, state, rng)
+        return ginar_block_step(spec, state, drift, rng)
     if isinstance(spec, IngarchSpec):
-        return ingarch_block_step(spec, state, rng)
-    if isinstance(spec, LogLinearSpec):
-        return loglinear_block_step(spec, state, rng)
-    raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
+        return ingarch_block_step(spec, drift, rng)
+    return loglinear_block_step(spec, drift, rng)
 
 
-def window_distance(spec: ModelSpec, state) -> np.ndarray:
-    """l1 distance between the two chains' stacked composite states, per replicate."""
-    total = 0.0
-    for part in state:
-        total = total + np.abs(part[0] - part[1]).sum(axis=(1, 2), dtype=float)
-    return total
+def window_distance(spec: ModelSpec, state: np.ndarray) -> np.ndarray:
+    """l1 distance between the two chains' companion states, per replicate."""
+    return np.abs(state[0] - state[1]).sum(axis=1, dtype=float)

@@ -148,9 +148,7 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 
 def _check_intensities(lam: np.ndarray) -> None:
-    """Refuse negative or non-finite intensities and those past the limit."""
-    if not lam.min() >= 0.0:  # also false for NaN
-        raise ValueError("intensities must be finite and nonnegative")
+    """Refuse intensities past the limit; the draws refuse negative and NaN ones."""
     if lam.max() > INTENSITY_LIMIT:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
 

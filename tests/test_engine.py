@@ -95,6 +95,25 @@ def test_divergence_index_is_the_first_step_that_fails():
     assert err.value.time_index == k
 
 
+@pytest.mark.parametrize("spec, seed, message", [
+    pytest.param(IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],)), 3, "intensity exceeded 1e", id="ingarch-intensity"),
+    pytest.param(GinarSpec(1, 1, ([[1.5]],), "geometric", ImmigrationSpec("poisson", [1.0])), 3,
+                 "counts exceeded the 64-bit safe range", id="ginar-geometric-counts"),
+    pytest.param(GinarSpec(1, 1, ([[1.5]],), "poisson", ImmigrationSpec("poisson", [1.0])), 3,
+                 "intensity exceeded 1e", id="ginar-poisson-thinning-mean"),
+    pytest.param(LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],)), 8, "log intensity exceeded", id="loglinear-mu"),
+])
+def test_each_family_fails_at_its_range_check(spec, seed, message):
+    with pytest.raises(DivergenceError, match=message) as err:
+        simulate(spec, 400, 0, master_seed=seed)
+    k = err.value.time_index
+    assert k is not None and k > 0
+    assert simulate(spec, k, 0, master_seed=seed).length == k
+    with pytest.raises(DivergenceError, match=message) as err:
+        simulate(spec, k + 1, 0, master_seed=seed)
+    assert err.value.time_index == k
+
+
 def test_csv_export_layout(tmp_path):
     path = simulate(stationary_2d(), 50, 10, master_seed=5)
     out = tmp_path / "path.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from countsim.engine import couple
 from countsim.errors import ConfigError, ConfigurationError, DivergenceError
+from countsim.linalg import companion, spectral_radius
 from countsim.models import (
     GinarSpec,
     ImmigrationSpec,
@@ -190,7 +191,8 @@ def test_ingarch_intensity_dominates_offset_along_path():
 def test_loglinear_zero_parameters_unit_intensity():
     spec = LogLinearSpec(1, 1, [0.0], ([[0.0]],), ([[0.0]],))
     state, _, lam = step(spec, block_state(spec, [[(np.zeros(1), np.zeros(1))]]), block_rng(6, 0))
-    assert state[1][0, 0, 0, 0] == 0.0  # mu
+    assert state.shape == (1, 1, 2)
+    assert state[0, 0, 0] == 0.0  # mu, the newest lead lag
     assert lam[0, 0, 0] == 1.0
 
 
@@ -239,7 +241,8 @@ def test_step_matches_ginar_step_bit_exactly():
         thinned = ref.binomial(np.broadcast_to(x, (2, 2)), spec.mean_matrices[0]).sum(axis=1)
         assert np.array_equal(counts[0, 0], immigration + thinned)
         x = counts[0, 0]
-        assert np.array_equal(state[0][0, 0, 0], x)
+        assert state.dtype == np.int64
+        assert np.array_equal(state[0, 0], x)
 
 
 def test_step_matches_ingarch_step_bit_exactly():
@@ -267,16 +270,66 @@ def test_step_matches_loglinear_step_bit_exactly():
         window = [(np.log1p(counts[0, 0].astype(float)), mu)]
 
 
+@pytest.mark.parametrize("kind", ["ginar", "ingarch", "loglinear"])
+def test_stepping_matrix_matches_the_lag_sums(kind):
+    # p = q = 3 with random coefficients and windows: the newest slot of one
+    # step is the term-by-term lag sum, and every other lag moves back by one.
+    p, q = 3, 3
+    gen = np.random.default_rng(31)
+    counts = [gen.integers(0, 20, p) for _ in range(q)]
+    if kind == "ginar":
+        spec = GinarSpec(p, q, [gen.uniform(0, 0.3, (p, p)) for _ in range(q)], "bernoulli",
+                         ImmigrationSpec("poisson", gen.uniform(0.5, 2, p)))
+        window = counts
+        reference = spec.immigration.mean() + sum(m @ x for m, x in zip(spec.mean_matrices, counts))
+    elif kind == "ingarch":
+        spec = IngarchSpec(p, q, gen.uniform(0.5, 2, p), [gen.uniform(0, 0.1, (p, p)) for _ in range(q)],
+                           [gen.uniform(0, 0.1, (p, p)) for _ in range(q)])
+        window = [(y, gen.uniform(0.5, 20, p)) for y in counts]
+        reference = ingarch_intensity(spec, window)
+    else:
+        spec = LogLinearSpec(p, q, gen.uniform(-1, 1, p), [gen.uniform(-0.2, 0.2, (p, p)) for _ in range(q)],
+                             [gen.uniform(-0.2, 0.2, (p, p)) for _ in range(q)])
+        window = [(np.log1p(y), gen.uniform(-2, 2, p)) for y in counts]
+        reference = np.exp(loglinear_mu(spec, window))
+    state = block_state(spec, [window])
+    new, drawn, intensity = step(spec, state, block_rng(32, 0))
+    np.testing.assert_allclose(intensity[0, 0], reference, rtol=1e-13)
+    if kind == "ginar":
+        assert np.array_equal(new[0, 0], np.concatenate([drawn[0, 0]] + counts[:-1]))
+    else:
+        assert np.array_equal(new[0, 0, p:q * p], state[0, 0, :(q - 1) * p])
+        y = drawn[0, 0] if kind == "ingarch" else np.log1p(drawn[0, 0])
+        assert np.array_equal(new[0, 0, q * p:], np.concatenate([y, state[0, 0, q * p:-p]]))
+
+
+def test_stepping_matrix_mean_dynamics_is_the_criterion_companion():
+    # Folding the count lags onto the lambda lags (E y = lambda) leaves the
+    # block companion of A_j + B_j whose spectral radius criterion 3 checks.
+    p, q = 3, 3
+    gen = np.random.default_rng(33)
+    a = [gen.uniform(0, 0.1, (p, p)) for _ in range(q)]
+    b = [gen.uniform(0, 0.1, (p, p)) for _ in range(q)]
+    matrix, _ = IngarchSpec(p, q, np.ones(p), a, b).stepping
+    assert not matrix[q * p:(q + 1) * p].any()  # the newest counts are drawn, not mapped
+    folded = matrix[:q * p, :q * p] + matrix[:q * p, q * p:]
+    target = companion([aj + bj for aj, bj in zip(a, b)])
+    assert np.array_equal(folded, target)
+    assert spectral_radius(folded) == pytest.approx(spectral_radius(target), rel=1e-12)
+    ginar = GinarSpec(p, q, a, "poisson", ImmigrationSpec("poisson", np.ones(p)))
+    assert np.array_equal(ginar.stepping[0], companion(a))
+
+
 def test_step_keeps_window_length():
     spec = IngarchSpec(1, 3, [1.0],
                        ([[0.1]], [[0.1]], [[0.1]]),
                        ([[0.2]], [[0.1]], [[0.05]]))
     state = block_state(spec, [default_window(spec)] * 2, 5)
-    assert [part.shape for part in state] == [(2, 5, 3, 1)] * 2
+    assert state.shape == (2, 5, 2 * 3 * 1)  # 3 lags of lambda, then 3 of the counts
     rng = block_rng(12, 0)
     for t in range(10):
         state, _, _ = step(spec, state, rng)
-        assert [part.shape for part in state] == [(2, 5, 3, 1)] * 2
+        assert state.shape == (2, 5, 2 * 3 * 1)
 
 
 def test_step_rejects_mismatched_state():
@@ -286,6 +339,9 @@ def test_step_rejects_mismatched_state():
         step(gspec, block_state(ispec, [default_window(ispec)]), block_rng(1, 0))
     with pytest.raises(ConfigurationError):
         step(ispec, block_state(gspec, [default_window(gspec)]), block_rng(1, 0))
+    wide = IngarchSpec(2, 1, [1.0, 1.0], (np.zeros((2, 2)),), (np.zeros((2, 2)),))
+    with pytest.raises(ConfigurationError):
+        step(ispec, block_state(wide, [default_window(wide)]), block_rng(1, 0))
 
 
 def test_ginar_order_two_equals_hand_stacked_pair_map():
@@ -305,7 +361,7 @@ def test_ginar_order_two_equals_hand_stacked_pair_map():
         cur, prev = int(immigration + thinned.sum()), cur
 
         assert got[0, 0, 0] == cur
-        assert np.array_equal(state[0][0, 0, :, 0], [cur, prev])
+        assert np.array_equal(state[0, 0], [cur, prev])
 
 
 # --- shared-path log bound ---------------------------------------------------
