@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .engine import (
     CouplingEnsemble,
-    CouplingReport,
     MomentReport,
     SamplePath,
     couple,
@@ -51,7 +50,6 @@ __all__ = [
     "poisson_raw_moment",
     "stirling2",
     "CouplingEnsemble",
-    "CouplingReport",
     "MomentReport",
     "SamplePath",
     "couple",

@@ -146,9 +146,6 @@ def _window(raw, model: ModelSpec | None, path: str, errs: Problems) -> dict | N
     """A window mapping, checked against the model and written in plain types."""
     if model is None:
         return None
-    if not isinstance(raw, dict):
-        errs.add(path, "expected a window mapping")
-        return None
     if errs.nest(path, lambda: validate_window(model, raw)) is None:
         return None
     return {name: [[int(v) if name == "counts" else float(v) for v in np.asarray(row, dtype=float)]

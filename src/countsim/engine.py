@@ -111,8 +111,9 @@ class SimulateExperiment:
 class CoupleExperiment:
     """``replicates`` coupled pairs run ``n`` steps from two start windows.
 
-    The windows are checked against the model (:func:`validate_window`)
-    when the experiment runs, since their shape depends on it.
+    The windows are mappings (see :func:`default_window`), checked against
+    the model by :func:`validate_window` when the experiment runs, since
+    their shape depends on it.
     """
 
     n: int
@@ -204,32 +205,12 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
     SimulateExperiment(T, burn_in)  # checks the run parameters
     counts = np.zeros((T, spec.p), dtype=np.int64)
     intensities = np.zeros((T, spec.p))
-    state = block_state(spec, [default_window(spec)])
+    state = block_state([validate_window(spec, default_window(spec))])
     for t, _, y, intensity in _lockstep(spec, state, T + burn_in, block_rng(master_seed, replicate_id)):
         if t >= burn_in:
             counts[t - burn_in] = y[0, 0]
             intensities[t - burn_in] = intensity[0, 0]
     return SamplePath(counts, intensities, burn_in, (int(master_seed), int(replicate_id)), spec.kind)
-
-
-@dataclass
-class CouplingReport:
-    """Distances between two common-noise chains and a fitted decay rate.
-
-    ``fitted_rate`` is either a per-iteration geometric factor in (0, 1] or
-    one of the flags ``"no-decay"`` (least-squares slope not below zero),
-    ``"degenerate-equal"`` (identical start windows) or ``"coalesced"``
-    (chains met exactly before a slope could be fitted).
-    """
-
-    distances: list[float]
-    fitted_rate: float | str
-    fit_window: tuple[int, int]
-    initial_pair: tuple
-    initial_distance: float
-
-    def final_distance(self) -> float:
-        return self.distances[-1]
 
 
 def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str, tuple[int, int]]:
@@ -261,47 +242,15 @@ def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str
     return rate, (start, end)
 
 
-def _couple_block(spec: ModelSpec, n: int, window_a, window_b, replicates: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """``(replicates, n)`` distances of one coupled block after each step."""
-    distances = np.empty((replicates, n))
-    state = block_state(spec, [window_a, window_b], replicates)
-    for t, state, _, _ in _lockstep(spec, state, n, rng):
-        distances[:, t] = window_distance(spec, state)
-    return distances
-
-
-def _coupling_start(spec: ModelSpec, window_a, window_b):
-    """Validated windows and their distance."""
-    wa = validate_window(spec, window_a)
-    wb = validate_window(spec, window_b)
-    return wa, wb, float(window_distance(spec, block_state(spec, [wa, wb]))[0])
-
-
-def couple(spec: ModelSpec, n: int, window_a, window_b,
-           master_seed: int = 0, replicate_id: int = 0) -> CouplingReport:
-    """Run two chains from different windows under fully shared noise.
-
-    Both chains consume the same noise at every step, so equal windows stay
-    equal forever and, under the model's contraction condition, the l1
-    distance between the stacked states decays geometrically.  A block of
-    one, addressed by ``(master_seed, replicate_id)``.
-
-    Because the per-step noise is i.i.d., iterating n frozen random maps
-    forward has the same law as composing them in reverse order; this run is
-    therefore a cheap stand-in for the backward iterations whose convergence
-    defines the stationary solution.
-    """
-    CoupleExperiment(n, window_a, window_b, replicates=1)  # checks the run parameters
-    wa, wb, initial = _coupling_start(spec, window_a, window_b)
-    distances = _couple_block(spec, n, wa, wb, 1, block_rng(master_seed, replicate_id))[0].tolist()
-    rate, window = _fit_decay_rate(initial, distances)
-    return CouplingReport(distances, rate, window, (window_a, window_b), initial)
-
-
 @dataclass
 class CouplingEnsemble:
-    """Replicate-averaged coupling behaviour for one pair of start windows."""
+    """Replicate-averaged coupling behaviour for one pair of start windows.
+
+    ``fitted_rate`` is either a per-iteration geometric factor in (0, 1] or
+    one of the flags ``"no-decay"`` (least-squares slope not below zero),
+    ``"degenerate-equal"`` (identical start windows) or ``"coalesced"``
+    (chains met exactly before a slope could be fitted).
+    """
 
     replicates: int
     n: int
@@ -310,6 +259,55 @@ class CouplingEnsemble:
     median_final_distance: float
     fitted_rate: float | str
     fit_window: tuple[int, int]
+
+
+def _couple_block(spec: ModelSpec, n: int, window_a, window_b, replicates: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``(replicates, n)`` distances of one coupled block after each step."""
+    distances = np.empty((replicates, n))
+    state = block_state([window_a, window_b], replicates)
+    for t, state, _, _ in _lockstep(spec, state, n, rng):
+        distances[:, t] = window_distance(state)
+    return distances
+
+
+def _coupling(spec: ModelSpec, n: int, window_a, window_b, master_seed: int,
+              blocks: list[tuple[int, int]], jobs: int) -> CouplingEnsemble:
+    """The coupled ``(block, size)`` blocks from the two windows, averaged over replicates."""
+    rows = [validate_window(spec, window_a), validate_window(spec, window_b)]
+    initial = float(window_distance(block_state(rows))[0])
+    tasks = [(_couple_block, spec, (n, *rows), size, master_seed, b) for b, size in blocks]
+    stacked = np.concatenate(_map_blocks(_block_task, tasks, jobs))
+    mean_distances = stacked.mean(axis=0)
+    rate, fit_window = _fit_decay_rate(initial, [float(v) for v in mean_distances])
+    return CouplingEnsemble(
+        replicates=len(stacked),
+        n=n,
+        initial_distance=initial,
+        mean_distances=mean_distances,
+        median_final_distance=float(np.median(stacked[:, -1])),
+        fitted_rate=rate,
+        fit_window=fit_window,
+    )
+
+
+def couple(spec: ModelSpec, n: int, window_a, window_b,
+           master_seed: int = 0, replicate_id: int = 0) -> CouplingEnsemble:
+    """Run two chains from different windows under fully shared noise.
+
+    Both chains consume the same noise at every step, so equal windows stay
+    equal forever and, under the model's contraction condition, the l1
+    distance between the stacked states decays geometrically.  An ensemble
+    of one: the block of one replicate addressed by ``(master_seed,
+    replicate_id)``.  Windows are mappings, as :func:`validate_window` reads them.
+
+    Because the per-step noise is i.i.d., iterating n frozen random maps
+    forward has the same law as composing them in reverse order; this run is
+    therefore a cheap stand-in for the backward iterations whose convergence
+    defines the stationary solution.
+    """
+    CoupleExperiment(n, window_a, window_b, replicates=1)  # checks the run parameters
+    return _coupling(spec, n, window_a, window_b, master_seed, [(replicate_id, 1)], jobs=1)
 
 
 def couple_ensemble(spec: ModelSpec, n: int, window_a, window_b, master_seed: int = 0,
@@ -321,20 +319,7 @@ def couple_ensemble(spec: ModelSpec, n: int, window_a, window_b, master_seed: in
     curve.  With ``jobs > 1`` blocks run in up to ``jobs`` worker processes.
     """
     CoupleExperiment(n, window_a, window_b, replicates)  # checks the run parameters
-    wa, wb, initial = _coupling_start(spec, window_a, window_b)
-    tasks = [(spec, n, wa, wb, size, master_seed, b) for b, size in _blocks(replicates)]
-    stacked = np.concatenate(_map_blocks(_couple_task, tasks, jobs))
-    mean_distances = stacked.mean(axis=0)
-    rate, fit_window = _fit_decay_rate(initial, [float(v) for v in mean_distances])
-    return CouplingEnsemble(
-        replicates=replicates,
-        n=n,
-        initial_distance=initial,
-        mean_distances=mean_distances,
-        median_final_distance=float(np.median(stacked[:, -1])),
-        fitted_rate=rate,
-        fit_window=fit_window,
-    )
+    return _coupling(spec, n, window_a, window_b, master_seed, _blocks(replicates), jobs)
 
 
 @dataclass
@@ -436,7 +421,7 @@ class _MomentFold:
 def _moment_block(spec: ModelSpec, exp: MomentsExperiment, replicates: int, rng: np.random.Generator) -> tuple:
     """``(sums, lse, top)`` of :class:`_MomentFold` for one block after burn-in."""
     fold = _MomentFold(replicates, exp.T, exp.r_values, exp.delta_values)
-    state = block_state(spec, [default_window(spec)], replicates)
+    state = block_state([validate_window(spec, default_window(spec))], replicates)
     for t, _, y, _ in _lockstep(spec, state, exp.T + exp.burn_in, rng):
         if t >= exp.burn_in:
             fold.push(y[0].sum(axis=1))
@@ -468,8 +453,8 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     infinite and their standard errors NaN, without a warning.
     """
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
-    tasks = [(spec, exp, size, master_seed, b) for b, size in _blocks(replicates)]
-    blocks = _map_blocks(_moment_task, tasks, jobs)
+    tasks = [(_moment_block, spec, (exp,), size, master_seed, b) for b, size in _blocks(replicates)]
+    blocks = _map_blocks(_block_task, tasks, jobs)
     total = replicates * T
     by_replicate = replicates > 1  # else the units are the batches of the one path
     counts = np.full(replicates, float(T)) if by_replicate else _batch_lengths(T).astype(float)
@@ -495,14 +480,10 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
                         lineage=(int(master_seed),))
 
 
-def _couple_task(args) -> np.ndarray:
-    spec, n, wa, wb, size, master_seed, block = args
-    return _couple_block(spec, n, wa, wb, size, block_rng(master_seed, block))
-
-
-def _moment_task(args) -> tuple:
-    spec, exp, size, master_seed, block = args
-    return _moment_block(spec, exp, size, block_rng(master_seed, block))
+def _block_task(args):
+    """``fn(spec, *params, size, rng)`` on the generator of block ``(master_seed, block)``."""
+    fn, spec, params, size, master_seed, block = args
+    return fn(spec, *params, size, block_rng(master_seed, block))
 
 
 def _map_blocks(fn, tasks, jobs: int) -> list:

@@ -11,8 +11,8 @@ Each model advances a window of its ``q`` most recent composite states
 
 Specs are immutable and shareable.  A block of replicates, each with one or
 two coupled chains, advances in lockstep through :func:`step`: its state is
-one ``(chains, replicates, k)`` array of companion-form windows (see
-:func:`block_state`).  The log-linear one holds mu and ``log(1 + y)``, the
+one ``(chains, replicates, k)`` array of companion rows (see
+:func:`validate_window`).  The log-linear one holds mu and ``log(1 + y)``, the
 coordinates in which that model contracts, so coupling distances are
 measured where contraction actually happens.
 """
@@ -26,13 +26,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, Problems
+from .errors import ConfigError, ConfigurationError, DivergenceError, Problems
 from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patches it here)
     COUNTING_FAMILIES,
     INTENSITY_LIMIT,
     CountingCache,
     Dependence,
     Stream,
+    check_intensities,
     checked_array,
     checked_int,
     flag_entry,
@@ -53,9 +54,8 @@ IMMIGRATION_FAMILIES = ("poisson", "geometric", "constant")
 #: The per-lag lists of a window given as a mapping, by family.
 WINDOW_KEYS = {"ginar": ("counts",), "ingarch": ("counts", "intensities"), "loglinear": ("counts", "mus")}
 
-# The rule each window series obeys; ``log1p_counts`` are the log-linear
-# window's ``log(1 + counts)``.
-_SERIES_RULES = {"counts": "count", "intensities": "nonnegative", "log1p_counts": "nonnegative", "mus": "real"}
+# The rule each window series obeys.
+_SERIES_RULES = {"counts": "count", "intensities": "nonnegative", "mus": "real"}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -269,58 +269,41 @@ class LogLinearSpec:
 ModelSpec = GinarSpec | IngarchSpec | LogLinearSpec
 
 
-def default_window(spec: ModelSpec) -> list:
-    """Start-up window: zero counts, intensity at the offset, mu at zero.
+def default_window(spec: ModelSpec) -> dict:
+    """Start-up window mapping: zero counts, intensities at the offset, mus at zero.
 
     The stationary law does not depend on the start; burn-in absorbs the
     transient.
     """
-    zeros = np.zeros(spec.p, dtype=np.int64)
-    if isinstance(spec, GinarSpec):
-        return [zeros.copy() for _ in range(spec.q)]
+    window = {"counts": [[0] * spec.p for _ in range(spec.q)]}
     if isinstance(spec, IngarchSpec):
-        return [(zeros.copy(), spec.intensity_offset.copy()) for _ in range(spec.q)]
-    return [(np.zeros(spec.p), np.zeros(spec.p)) for _ in range(spec.q)]
+        window["intensities"] = [spec.intensity_offset.tolist() for _ in range(spec.q)]
+    elif isinstance(spec, LogLinearSpec):
+        window["mus"] = [[0.0] * spec.p for _ in range(spec.q)]
+    return window
 
 
-def validate_window(spec: ModelSpec, window) -> list:
-    """Check a window against its model; returns the lagged states the step reads.
+def validate_window(spec: ModelSpec, window) -> np.ndarray:
+    """Check a window against its model; returns its companion row, the state :func:`step` reads.
 
-    A window holds ``q`` lagged states, most recent first: count vectors
-    (GINAR), ``(counts, intensities)`` pairs (linear) or ``(log(1 + counts),
-    mus)`` pairs (log-linear).  It may also be a mapping of per-lag lists
-    under ``WINDOW_KEYS[spec.kind]``, as configs give it, with plain counts
-    for every family.  Counts must be nonnegative integers; problems are
-    named by series and lag, e.g. ``counts[0]``.
+    A window is a mapping of ``q`` vectors of length ``p``, most recent lag
+    first, under each key of ``WINDOW_KEYS[spec.kind]``: ``counts`` for every
+    family, plus ``intensities`` (linear) or ``mus`` (log-linear).  Counts must
+    be nonnegative integers; problems are named by key and lag, e.g.
+    ``counts[0]``.  The row is the ``q`` counts as int64 (GINAR), the ``q``
+    lambdas followed by the ``q`` counts (linear), or the ``q`` mus followed by
+    the ``q`` values of ``log(1 + counts)`` (log-linear).
     """
+    names = WINDOW_KEYS[spec.kind]
+    if not isinstance(window, Mapping):
+        raise ConfigError([f"window: expected a mapping with keys {', '.join(names)}"])
     problems = Problems()
-    if isinstance(window, Mapping):
-        names = WINDOW_KEYS[spec.kind]
-        series = [window.get(name) for name in names]
-    elif isinstance(spec, GinarSpec):
-        names, series = ("counts",), [window]
-    else:
-        names = ("counts", "intensities") if isinstance(spec, IngarchSpec) else ("log1p_counts", "mus")
-        series = _unzip(window, problems)
-        problems.raise_if_any()
-    checked = [_lags(rows, name, spec, problems) for name, rows in zip(names, series)]
+    series = [_lags(window.get(name), name, spec, problems) for name in names]
     problems.raise_if_any()
-    if names[0] == "counts":
-        convert = np.log1p if isinstance(spec, LogLinearSpec) else (lambda c: c.astype(np.int64))
-        checked[0] = [convert(c) for c in checked[0]]
-    return checked[0] if len(checked) == 1 else list(zip(*checked))
-
-
-def _unzip(window, problems: Problems) -> list:
-    """The two series of a list of ``(first, second)`` pairs."""
-    try:
-        pairs = [tuple(entry) for entry in window]
-    except TypeError:
-        pairs = None
-    if pairs is None or any(len(pair) != 2 for pair in pairs):
-        problems.add("window", "expected a list of pairs of vectors")
-        return []
-    return [[a for a, _ in pairs], [b for _, b in pairs]]
+    counts, *lead = [np.concatenate(rows) for rows in series]
+    if isinstance(spec, GinarSpec):
+        return counts.astype(np.int64)
+    return np.concatenate(lead + [np.log1p(counts) if isinstance(spec, LogLinearSpec) else counts])
 
 
 def _lags(rows, name: str, spec: ModelSpec, problems: Problems) -> list | None:
@@ -345,35 +328,29 @@ def ginar_step(spec: GinarSpec, window, t: int, cache: CountingCache, stream: St
     return total.astype(np.int64)
 
 
-def ingarch_intensity(spec: IngarchSpec, window) -> np.ndarray:
+def ingarch_intensity(spec: IngarchSpec, window: Mapping) -> np.ndarray:
+    """lambda given a window mapping, summed lag by lag: the scalar reference of the step."""
     lam = spec.intensity_offset.copy()
     for j in range(spec.q):
-        y, prev_lam = window[j]
-        lam += spec.lambda_matrices[j] @ prev_lam + spec.count_matrices[j] @ y
+        lam += spec.lambda_matrices[j] @ window["intensities"][j] + spec.count_matrices[j] @ window["counts"][j]
     return lam
 
 
-def loglinear_mu(spec: LogLinearSpec, window) -> np.ndarray:
+def loglinear_mu(spec: LogLinearSpec, window: Mapping) -> np.ndarray:
+    """mu given a window mapping, summed lag by lag: the scalar reference of the step."""
     mu = spec.offset.copy()
     for j in range(spec.q):
-        log1p_y, prev_mu = window[j]
-        mu += spec.mu_matrices[j] @ prev_mu + spec.logcount_matrices[j] @ log1p_y
+        mu += spec.mu_matrices[j] @ window["mus"][j] + spec.logcount_matrices[j] @ np.log1p(window["counts"][j])
     return mu
 
 
-def block_state(spec: ModelSpec, windows, replicates: int = 1) -> np.ndarray:
-    """Stack validated windows, one per chain, into a block state.
+def block_state(rows, replicates: int = 1) -> np.ndarray:
+    """A block state: ``replicates`` copies of each chain's companion row.
 
-    Every replicate of chain ``c`` starts from ``windows[c]``.  The state is
-    one ``(chains, replicates, k)`` array, most recent lag first: the ``q``
-    counts of a GINAR window (int64), or the ``q`` lambdas (mus) followed by
-    the ``q`` counts (``log(1 + counts)``) of an intensity window (float).
+    ``rows`` holds one row of :func:`validate_window` per chain; the state is
+    one ``(chains, replicates, k)`` array that keeps the rows' dtype.
     """
-    if isinstance(spec, GinarSpec):
-        rows = np.array([np.concatenate(window) for window in windows], dtype=np.int64)
-    else:
-        rows = np.array([np.concatenate([lead for _, lead in w] + [y for y, _ in w]) for w in windows], dtype=float)
-    return np.repeat(rows[:, None], replicates, axis=1)
+    return np.repeat(np.asarray(rows)[:, None], replicates, axis=1)
 
 
 def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
@@ -395,11 +372,12 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
 def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
     """One linear-intensity transition of a block; returns ``(state, counts, lambda)``.
 
-    The one range check is ``shared_counts``' lambda <= 1e18, which keeps the
-    counts far below the 64-bit limit; lambda >= 0 by the nonnegative coefficients.
+    The one range check is lambda <= 1e18, which keeps the counts far below
+    the 64-bit limit; lambda >= 0 by the nonnegative coefficients.
     """
     p, q = spec.p, spec.q
     lam = drift[:, :, :p]
+    check_intensities(lam)
     counts = shared_counts(rng, spec.dependence, lam)
     drift[:, :, q * p:(q + 1) * p] = counts
     return drift, counts, lam
@@ -409,7 +387,8 @@ def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.
     """One log-linear transition of a block; returns ``(state, counts, lambda)``.
 
     Raises :class:`DivergenceError` if a component of mu is NaN or exceeds :data:`MU_LIMIT`,
-    as parameters violating the stability condition can make it; below it counts are in range.
+    as parameters violating the stability condition can make it; below it lambda is within
+    the intensity limit (``exp(MU_LIMIT)`` rounds just under 1e18), so counts are in range.
     """
     p, q = spec.p, spec.q
     mu = drift[:, :, :p]
@@ -442,6 +421,10 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     return loglinear_block_step(spec, drift, rng)
 
 
-def window_distance(spec: ModelSpec, state: np.ndarray) -> np.ndarray:
-    """l1 distance between the two chains' companion states, per replicate."""
+def window_distance(state: np.ndarray) -> np.ndarray:
+    """l1 distance between the two chains' companion rows, per replicate.
+
+    ``state`` is a two-chain block state; the distance reads the model only
+    through its rows, so log-linear chains are compared in mu and ``log(1 + y)``.
+    """
     return np.abs(state[0] - state[1]).sum(axis=1, dtype=float)

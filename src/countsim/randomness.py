@@ -129,10 +129,6 @@ class Stream:
             self._rng = np.random.Generator(np.random.PCG64(_mix(self.lineage)))
         return self._rng
 
-    def substream(self, *tags: int) -> "Stream":
-        """Fresh stream derived from this lineage plus extra tag components."""
-        return Stream(self.lineage + tags)
-
     def __repr__(self) -> str:
         return f"Stream(lineage={self.lineage})"
 
@@ -147,7 +143,7 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
     return Stream((int(master_seed), int(block))).rng
 
 
-def _check_intensities(lam: np.ndarray) -> None:
+def check_intensities(lam: np.ndarray) -> None:
     """Refuse intensities past the limit; the draws refuse negative and NaN ones."""
     if lam.max() > INTENSITY_LIMIT:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
@@ -228,9 +224,9 @@ def shared_counts(rng: np.random.Generator, dependence: Dependence, lam: np.ndar
     """One step's counts for ``(chains, replicates, p)`` intensities under the scheme.
 
     Marginals are Poisson at each chain's own intensity; the chains share
-    the Poisson processes (independent scheme) or the copula scores.
+    the Poisson processes (independent scheme) or the copula scores.  The
+    caller keeps ``lam`` within the intensity limit (see :func:`check_intensities`).
     """
-    _check_intensities(lam)
     if dependence.scheme == "independent":
         return shared_poisson(rng, lam)
     replicates, p = lam.shape[1:]
@@ -264,7 +260,7 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
         parts = np.stack((lo, counts[0] - lo, counts[1] - lo))
     if family == "poisson":
         mean = np.einsum("jil,krjl->kri", means, parts)
-        _check_intensities(mean)
+        check_intensities(mean)
         sums = rng.poisson(mean)
     else:
         n = parts[:, :, :, None, :]
@@ -330,13 +326,6 @@ class PoissonProcessPath:
         self.arrivals: list[float] = []
         # Sorted (time, count) records governing times beyond the dense region.
         self._marks: list[tuple[float, int]] = []
-
-    @property
-    def horizon(self) -> float:
-        """Largest time up to which the realization is pinned down."""
-        last_dense = self.arrivals[-1] if self.arrivals else 0.0
-        last_mark = self._marks[-1][0] if self._marks else 0.0
-        return max(last_dense, last_mark)
 
     def count(self, lam: float, stream: Stream) -> int:
         """Number of arrivals in (0, lam], extending the path if needed."""
@@ -488,12 +477,6 @@ class CountNoise:
             return poisson_quantile(self._scores, lam)
         except OverflowError as exc:
             raise DivergenceError(str(exc)) from exc
-
-
-def sample_count_vector(lambdas, dependence: Dependence, stream: Stream) -> np.ndarray:
-    """One fresh count vector with Poisson marginals coupled per the scheme."""
-    lam = np.asarray(lambdas, dtype=float)
-    return CountNoise(dependence, lam.shape[0], stream).at(lam)
 
 
 def _draw_counting(family: str, mean: float, size: int, rng: np.random.Generator) -> np.ndarray:

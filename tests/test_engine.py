@@ -176,7 +176,7 @@ def test_coupling_null_case_stays_at_zero():
     w = default_window(spec)
     report = couple(spec, 50, w, w, master_seed=1)
     assert report.initial_distance == 0.0
-    assert all(d == 0.0 for d in report.distances)
+    assert all(d == 0.0 for d in report.mean_distances)
     assert report.fitted_rate == "degenerate-equal"
 
 
@@ -185,7 +185,7 @@ def test_coupling_contracts_for_stationary_model():
                        ([[0.0, 0.0], [0.0, 0.0]],),
                        ([[0.5, 0.4], [0.0, 0.5]],))
     wa = default_window(spec)
-    wb = [(np.array([10, 10]), np.array([8.0, 8.0]))]
+    wb = {"counts": [[10, 10]], "intensities": [[8.0, 8.0]]}
     ens = couple_ensemble(spec, 200, wa, wb, master_seed=5, replicates=64)
     assert isinstance(ens.fitted_rate, float)
     assert ens.fitted_rate < 1.0
@@ -196,7 +196,7 @@ def test_coupling_decays_for_scalar_model_near_the_boundary():
     # rho(A + B) = 0.8 < 1; mean distance over 200 replicates decays.
     spec = IngarchSpec(1, 1, [1.0], ([[0.3]],), ([[0.5]],))
     wa = default_window(spec)
-    wb = [(np.array([10]), np.array([8.0]))]
+    wb = {"counts": [[10]], "intensities": [[8.0]]}
     ens = couple_ensemble(spec, 200, wa, wb, master_seed=7, replicates=200, jobs=4)
     assert ens.mean_distances[-1] < ens.initial_distance
     assert isinstance(ens.fitted_rate, float) and ens.fitted_rate < 1.0
@@ -205,7 +205,7 @@ def test_coupling_decays_for_scalar_model_near_the_boundary():
 def test_coupling_no_decay_for_violating_model():
     bad = IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],))
     wa = default_window(bad)
-    wb = [(np.array([10]), np.array([8.0]))]
+    wb = {"counts": [[10]], "intensities": [[8.0]]}
     ens = couple_ensemble(bad, 200, wa, wb, master_seed=5, replicates=32)
     assert ens.median_final_distance >= ens.initial_distance
     assert ens.fitted_rate == "no-decay"
@@ -220,6 +220,8 @@ def test_couple_requires_minimum_iterations_and_valid_windows():
 
     with pytest.raises(ConfigurationError):
         couple(spec, 20, w, [np.array([1, 2])], master_seed=1)
+    with pytest.raises(ConfigurationError):
+        couple(spec, 20, w, {"counts": [[1, 2]]}, master_seed=1)
 
 
 def test_couple_rejects_non_integer_window_counts():
@@ -227,27 +229,31 @@ def test_couple_rejects_non_integer_window_counts():
 
     ginar = GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("poisson", [1.0]))
     with pytest.raises(ConfigurationError):
-        couple(ginar, 20, [np.array([1.5])], [np.array([0.0])], master_seed=1)
+        couple(ginar, 20, {"counts": [[1.5]]}, {"counts": [[0]]}, master_seed=1)
     ingarch = stationary_2d()
     with pytest.raises(ConfigurationError):
-        couple(ingarch, 20, [(np.array([1.5, 0.0]), np.array([1.0, 1.0]))],
+        couple(ingarch, 20, {"counts": [[1.5, 0.0]], "intensities": [[1.0, 1.0]]},
                default_window(ingarch), master_seed=1)
 
 
 def test_couple_single_run_reproducible():
     spec = stationary_2d()
     wa = default_window(spec)
-    wb = [(np.array([4, 4]), np.array([3.0, 3.0]))]
+    wb = {"counts": [[4, 4]], "intensities": [[3.0, 3.0]]}
     r1 = couple(spec, 60, wa, wb, master_seed=9)
     r2 = couple(spec, 60, wa, wb, master_seed=9)
-    assert r1.distances == r2.distances
+    assert np.array_equal(r1.mean_distances, r2.mean_distances)
     assert r1.fitted_rate == r2.fitted_rate
+    # A single run is the ensemble of one: replicate 0 is block 0 of one replicate.
+    one = couple_ensemble(spec, 60, wa, wb, master_seed=9, replicates=1)
+    assert np.array_equal(couple(spec, 60, wa, wb, master_seed=9, replicate_id=0).mean_distances, one.mean_distances)
+    assert r1.replicates == one.replicates == 1
 
 
 def test_couple_ensemble_parallel_matches_serial():
     spec = stationary_2d()
     wa = default_window(spec)
-    wb = [(np.array([4, 4]), np.array([3.0, 3.0]))]
+    wb = {"counts": [[4, 4]], "intensities": [[3.0, 3.0]]}
     serial = couple_ensemble(spec, 40, wa, wb, master_seed=9, replicates=6, jobs=1)
     parallel = couple_ensemble(spec, 40, wa, wb, master_seed=9, replicates=6, jobs=3)
     assert np.array_equal(serial.mean_distances, parallel.mean_distances)
@@ -408,7 +414,7 @@ def test_loglinear_paths_simulate_and_couple():
     assert np.all(path.counts >= 0)
     assert np.all(path.intensities > 0)
     wa = default_window(spec)
-    wb = [(np.log1p(np.array([5.0, 5.0])), np.array([2.0, -1.0]))]
+    wb = {"counts": [[5, 5]], "mus": [[2.0, -1.0]]}
     ens = couple_ensemble(spec, 200, wa, wb, master_seed=13, replicates=32)
     assert isinstance(ens.fitted_rate, float) and ens.fitted_rate < 1.0
     assert ens.mean_distances[-1] < 1e-3 * ens.initial_distance

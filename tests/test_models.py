@@ -32,9 +32,14 @@ def ingarch_1d(d=1.0, a=0.3, b=0.5):
     return IngarchSpec(1, 1, [d], ([[a]],), ([[b]],))
 
 
+def start(spec, window=None, replicates=1):
+    """The block state of ``replicates`` copies of a window (default: the model's)."""
+    return block_state([validate_window(spec, default_window(spec) if window is None else window)], replicates)
+
+
 def one_step(spec, window, replicates, seed):
     """Counts and intensity of one batched step of ``replicates`` copies of a window."""
-    _, counts, intensity = step(spec, block_state(spec, [window], replicates), block_rng(seed, 0))
+    _, counts, intensity = step(spec, start(spec, window, replicates), block_rng(seed, 0))
     return counts[0], intensity[0]
 
 
@@ -103,15 +108,46 @@ def test_spec_problems_are_collected_with_paths():
 def test_window_validation():
     spec = ingarch_1d()
     with pytest.raises(ConfigurationError):
-        validate_window(spec, [])
+        validate_window(spec, {"counts": [], "intensities": []})
     with pytest.raises(ConfigurationError):
-        validate_window(spec, [(np.array([-1]), np.array([1.0]))])
-    ok = validate_window(spec, [(np.array([2]), np.array([2.0]))])
-    assert ok[0][0].dtype == np.int64
+        validate_window(spec, {"counts": [[-1]], "intensities": [[1.0]]})
+    ok = validate_window(spec, {"counts": [[2]], "intensities": [[2.0]]})
+    assert ok.dtype == np.float64 and ok.tolist() == [2.0, 2.0]
     with pytest.raises(ConfigurationError):
-        validate_window(spec, [(np.array([1.5]), np.array([2.0]))])
+        validate_window(spec, {"counts": [[1.5]], "intensities": [[2.0]]})
     with pytest.raises(ConfigurationError):
-        validate_window(ginar_2d(), [np.array([1.5, 0.0])])
+        validate_window(ginar_2d(), {"counts": [[1.5, 0.0]]})
+    # The mapping is the only window form; a list or a list of pairs is refused.
+    for window in ([], [(np.array([2]), np.array([2.0]))], [np.array([2])]):
+        with pytest.raises(ConfigError) as err:
+            validate_window(spec, window)
+        assert err.value.problems == ["window: expected a mapping with keys counts, intensities"]
+
+
+@pytest.mark.parametrize("kind", ["ginar", "ingarch", "loglinear"])
+def test_window_mapping_becomes_the_companion_row(kind):
+    # p = q = 2: the lead lags (lambda or mu) first, then the count lags, most
+    # recent first; log-linear holds log(1 + counts).  Only GINAR is int64.
+    p = q = 2
+    zeros = [np.zeros((p, p))] * q
+    counts = [[1, 2], [3, 4]]
+    if kind == "ginar":
+        spec = GinarSpec(p, q, zeros, "bernoulli", ImmigrationSpec("poisson", [1.0, 1.0]))
+        default, window = np.zeros(4, dtype=np.int64), {"counts": counts}
+        row = np.array([1, 2, 3, 4], dtype=np.int64)
+    elif kind == "ingarch":
+        spec = IngarchSpec(p, q, [0.5, 1.5], zeros, zeros)
+        default = np.array([0.5, 1.5, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0])
+        window = {"counts": counts, "intensities": [[5.0, 6.0], [7.0, 8.0]]}
+        row = np.array([5.0, 6.0, 7.0, 8.0, 1.0, 2.0, 3.0, 4.0])
+    else:
+        spec = LogLinearSpec(p, q, [0.5, 1.5], zeros, zeros)
+        default = np.zeros(8)
+        window = {"counts": counts, "mus": [[-5.0, 6.0], [7.0, -8.0]]}
+        row = np.concatenate(([-5.0, 6.0, 7.0, -8.0], np.log1p([1.0, 2.0, 3.0, 4.0])))  # as the step writes it
+    for got, expected in ((validate_window(spec, default_window(spec)), default), (validate_window(spec, window), row)):
+        assert got.dtype == expected.dtype and (got.dtype == np.int64) == (kind == "ginar")
+        assert np.array_equal(got, expected)
 
 
 # --- ginar steps -------------------------------------------------------------
@@ -120,7 +156,7 @@ def test_ginar_zero_window_zero_immigration_absorbs():
     spec = GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("constant", [0.0]))
     out = ginar_step(spec, [np.zeros(1, dtype=np.int64)], 0, CountingCache(), make_stream(1, 0, 0))
     assert np.array_equal(out, [0])
-    counts, mean = one_step(spec, [np.zeros(1, dtype=np.int64)], 64, 1)
+    counts, mean = one_step(spec, {"counts": [[0]]}, 64, 1)
     assert np.array_equal(counts, np.zeros((64, 1), dtype=np.int64))
     assert np.array_equal(mean, np.zeros((64, 1)))
 
@@ -128,7 +164,7 @@ def test_ginar_zero_window_zero_immigration_absorbs():
 def test_ginar_pure_immigration_is_poisson():
     mu = 1.7
     spec = GinarSpec(1, 1, ([[0.0]],), "bernoulli", ImmigrationSpec("poisson", [mu]))
-    window = [np.array([5], dtype=np.int64)]
+    window = {"counts": [[5]]}
     n = 100000
     draws = one_step(spec, window, n, 2)[0][:, 0].astype(float)
     se = draws.std(ddof=1) / math.sqrt(n)
@@ -139,7 +175,7 @@ def test_ginar_pure_immigration_is_poisson():
 
 def test_ginar_conditional_mean_formula():
     spec = ginar_2d()
-    window = [np.array([3, 1], dtype=np.int64)]
+    window = {"counts": [[3, 1]]}
     target = np.array([0.4 * 3 + 1.0, 0.1 * 3 + 0.2 * 1 + 1.0])  # (2.2, 1.5)
     n = 100000
     draws, mean = one_step(spec, window, n, 3)
@@ -154,20 +190,20 @@ def test_ingarch_intensity_at_zero_window_is_offset():
     spec = IngarchSpec(2, 2, [1.0, 0.5],
                        ([[0.1, 0.0], [0.0, 0.1]], [[0.05, 0.0], [0.0, 0.05]]),
                        ([[0.2, 0.0], [0.0, 0.2]], [[0.1, 0.0], [0.0, 0.1]]))
-    window = [(np.zeros(2, dtype=np.int64), np.zeros(2)) for _ in range(2)]
+    window = {"counts": [[0, 0], [0, 0]], "intensities": [[0.0, 0.0], [0.0, 0.0]]}
     lam = ingarch_intensity(spec, window)
     assert np.array_equal(lam, spec.intensity_offset)
 
 
 def test_ingarch_intensity_arithmetic():
     spec = ingarch_1d()
-    lam = ingarch_intensity(spec, [(np.array([2]), np.array([2.0]))])
+    lam = ingarch_intensity(spec, {"counts": [[2]], "intensities": [[2.0]]})
     assert lam[0] == pytest.approx(1.0 + 0.3 * 2 + 0.5 * 2)
 
 
 def test_ingarch_conditional_mean_is_intensity():
     spec = ingarch_1d()
-    window = [(np.array([2]), np.array([2.0]))]
+    window = {"counts": [[2]], "intensities": [[2.0]]}
     n = 100000
     draws, lam = one_step(spec, window, n, 4)
     assert np.all(lam == pytest.approx(2.6))
@@ -179,7 +215,7 @@ def test_ingarch_intensity_dominates_offset_along_path():
     spec = IngarchSpec(2, 1, [0.7, 0.2],
                        ([[0.2, 0.1], [0.0, 0.2]],),
                        ([[0.3, 0.05], [0.1, 0.25]],))
-    state = block_state(spec, [default_window(spec)], 8)
+    state = start(spec, replicates=8)
     rng = block_rng(5, 0)
     for t in range(500):
         state, _, lam = step(spec, state, rng)
@@ -190,7 +226,7 @@ def test_ingarch_intensity_dominates_offset_along_path():
 
 def test_loglinear_zero_parameters_unit_intensity():
     spec = LogLinearSpec(1, 1, [0.0], ([[0.0]],), ([[0.0]],))
-    state, _, lam = step(spec, block_state(spec, [[(np.zeros(1), np.zeros(1))]]), block_rng(6, 0))
+    state, _, lam = step(spec, block_state([np.zeros(2)]), block_rng(6, 0))
     assert state.shape == (1, 1, 2)
     assert state[0, 0, 0] == 0.0  # mu, the newest lead lag
     assert lam[0, 0, 0] == 1.0
@@ -198,7 +234,7 @@ def test_loglinear_zero_parameters_unit_intensity():
 
 def test_loglinear_worked_example():
     spec = LogLinearSpec(1, 1, [0.1], ([[-0.4]],), ([[0.3]],))
-    window = [(np.array([math.log(3.0)]), np.array([0.5]))]
+    window = {"counts": [[2]], "mus": [[0.5]]}
     mu = loglinear_mu(spec, window)
     expected_mu = 0.1 - 0.4 * 0.5 + 0.3 * math.log(3.0)
     assert mu[0] == pytest.approx(expected_mu, abs=1e-12)
@@ -207,7 +243,7 @@ def test_loglinear_worked_example():
 
 def test_loglinear_counts_mean_matches_intensity():
     spec = LogLinearSpec(1, 1, [0.1], ([[-0.4]],), ([[0.3]],))
-    window = [(np.array([math.log(3.0)]), np.array([0.5]))]
+    window = {"counts": [[2]], "mus": [[0.5]]}
     lam_target = math.exp(0.1 - 0.4 * 0.5 + 0.3 * math.log(3.0))
     n = 100000
     draws = one_step(spec, window, n, 7)[0].astype(float)
@@ -219,7 +255,7 @@ def test_loglinear_divergence_is_tagged_at_the_first_step():
     # mu = 0.5 + 1.3 * 600 exceeds the limit on the first step of the coupled pair.
     spec = LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],))
     with pytest.raises(DivergenceError, match="log intensity exceeded") as err:
-        couple(spec, 10, [(np.zeros(1), np.array([600.0]))], default_window(spec), master_seed=8)
+        couple(spec, 10, {"counts": [[0]], "mus": [[600.0]]}, default_window(spec), master_seed=8)
     assert err.value.time_index == 0
 
 
@@ -232,7 +268,7 @@ def test_loglinear_divergence_is_tagged_at_the_first_step():
 def test_step_matches_ginar_step_bit_exactly():
     spec = ginar_2d()
     x = np.array([3, 1], dtype=np.int64)
-    state = block_state(spec, [[x]])
+    state = block_state([x])
     rng, ref = block_rng(9, 1), block_rng(9, 1)
     for t in range(20):
         state, counts, mean = step(spec, state, rng)
@@ -247,27 +283,27 @@ def test_step_matches_ginar_step_bit_exactly():
 
 def test_step_matches_ingarch_step_bit_exactly():
     spec = ingarch_1d()
-    window = [(np.array([2]), np.array([2.0]))]
-    state = block_state(spec, [window])
+    window = {"counts": [[2]], "intensities": [[2.0]]}
+    state = start(spec, window)
     rng, ref = block_rng(10, 1), block_rng(10, 1)
     for t in range(20):
         state, counts, lam = step(spec, state, rng)
         assert np.array_equal(lam[0, 0], ingarch_intensity(spec, window))
         assert np.array_equal(counts[0, 0], ref.poisson(lam[0, 0]))
-        window = [(counts[0, 0], lam[0, 0])]
+        window = {"counts": [counts[0, 0]], "intensities": [lam[0, 0]]}
 
 
 def test_step_matches_loglinear_step_bit_exactly():
     spec = LogLinearSpec(1, 1, [0.1], ([[-0.4]],), ([[0.3]],))
-    window = [(np.array([math.log(3.0)]), np.array([0.5]))]
-    state = block_state(spec, [window])
+    window = {"counts": [[2]], "mus": [[0.5]]}
+    state = start(spec, window)
     rng, ref = block_rng(11, 1), block_rng(11, 1)
     for t in range(20):
         state, counts, lam = step(spec, state, rng)
         mu = loglinear_mu(spec, window)
         assert np.array_equal(lam[0, 0], np.exp(mu))
         assert np.array_equal(counts[0, 0], ref.poisson(np.exp(mu)))
-        window = [(np.log1p(counts[0, 0].astype(float)), mu)]
+        window = {"counts": [counts[0, 0]], "mus": [mu]}
 
 
 @pytest.mark.parametrize("kind", ["ginar", "ingarch", "loglinear"])
@@ -280,19 +316,19 @@ def test_stepping_matrix_matches_the_lag_sums(kind):
     if kind == "ginar":
         spec = GinarSpec(p, q, [gen.uniform(0, 0.3, (p, p)) for _ in range(q)], "bernoulli",
                          ImmigrationSpec("poisson", gen.uniform(0.5, 2, p)))
-        window = counts
+        window = {"counts": counts}
         reference = spec.immigration.mean() + sum(m @ x for m, x in zip(spec.mean_matrices, counts))
     elif kind == "ingarch":
         spec = IngarchSpec(p, q, gen.uniform(0.5, 2, p), [gen.uniform(0, 0.1, (p, p)) for _ in range(q)],
                            [gen.uniform(0, 0.1, (p, p)) for _ in range(q)])
-        window = [(y, gen.uniform(0.5, 20, p)) for y in counts]
+        window = {"counts": counts, "intensities": [gen.uniform(0.5, 20, p) for _ in counts]}
         reference = ingarch_intensity(spec, window)
     else:
         spec = LogLinearSpec(p, q, gen.uniform(-1, 1, p), [gen.uniform(-0.2, 0.2, (p, p)) for _ in range(q)],
                              [gen.uniform(-0.2, 0.2, (p, p)) for _ in range(q)])
-        window = [(np.log1p(y), gen.uniform(-2, 2, p)) for y in counts]
+        window = {"counts": counts, "mus": [gen.uniform(-2, 2, p) for _ in counts]}
         reference = np.exp(loglinear_mu(spec, window))
-    state = block_state(spec, [window])
+    state = start(spec, window)
     new, drawn, intensity = step(spec, state, block_rng(32, 0))
     np.testing.assert_allclose(intensity[0, 0], reference, rtol=1e-13)
     if kind == "ginar":
@@ -324,7 +360,7 @@ def test_step_keeps_window_length():
     spec = IngarchSpec(1, 3, [1.0],
                        ([[0.1]], [[0.1]], [[0.1]]),
                        ([[0.2]], [[0.1]], [[0.05]]))
-    state = block_state(spec, [default_window(spec)] * 2, 5)
+    state = block_state([validate_window(spec, default_window(spec))] * 2, 5)
     assert state.shape == (2, 5, 2 * 3 * 1)  # 3 lags of lambda, then 3 of the counts
     rng = block_rng(12, 0)
     for t in range(10):
@@ -336,12 +372,12 @@ def test_step_rejects_mismatched_state():
     gspec = ginar_2d()
     ispec = ingarch_1d()
     with pytest.raises(ConfigurationError):
-        step(gspec, block_state(ispec, [default_window(ispec)]), block_rng(1, 0))
+        step(gspec, start(ispec), block_rng(1, 0))
     with pytest.raises(ConfigurationError):
-        step(ispec, block_state(gspec, [default_window(gspec)]), block_rng(1, 0))
+        step(ispec, start(gspec), block_rng(1, 0))
     wide = IngarchSpec(2, 1, [1.0, 1.0], (np.zeros((2, 2)),), (np.zeros((2, 2)),))
     with pytest.raises(ConfigurationError):
-        step(ispec, block_state(wide, [default_window(wide)]), block_rng(1, 0))
+        step(ispec, start(wide), block_rng(1, 0))
 
 
 def test_ginar_order_two_equals_hand_stacked_pair_map():
@@ -350,7 +386,7 @@ def test_ginar_order_two_equals_hand_stacked_pair_map():
     # when both consume the same per-step noise.
     spec = GinarSpec(1, 2, ([[0.3]], [[0.2]]), "bernoulli",
                      ImmigrationSpec("poisson", [1.0]))
-    state = block_state(spec, [[np.array([4], dtype=np.int64), np.array([2], dtype=np.int64)]])
+    state = start(spec, {"counts": [[4], [2]]})
     rng, ref = block_rng(13, 0), block_rng(13, 0)
     cur, prev = 4, 2
     for t in range(60):
@@ -380,9 +416,9 @@ def test_log_count_ratio_respects_log_time_ratio(s, t):
 
 def test_window_distance_l1():
     spec = ingarch_1d()
-    wa = [(np.array([2]), np.array([3.0]))]
-    wb = [(np.array([5]), np.array([1.5]))]
-    assert window_distance(spec, block_state(spec, [wa, wb], 3)).tolist() == pytest.approx([3 + 1.5] * 3)
-    gspec = ginar_2d()
-    state = block_state(gspec, [[np.array([1, 2])], [np.array([4, 0])]])
-    assert window_distance(gspec, state).tolist() == pytest.approx([5.0])
+    wa = {"counts": [[2]], "intensities": [[3.0]]}
+    wb = {"counts": [[5]], "intensities": [[1.5]]}
+    state = block_state([validate_window(spec, wa), validate_window(spec, wb)], 3)
+    assert window_distance(state).tolist() == pytest.approx([3 + 1.5] * 3)
+    state = block_state([np.array([1, 2]), np.array([4, 0])])
+    assert window_distance(state).tolist() == pytest.approx([5.0])
