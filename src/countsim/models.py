@@ -33,6 +33,7 @@ from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patch
     CountingCache,
     Dependence,
     Stream,
+    _draw,
     check_intensities,
     checked_array,
     checked_int,
@@ -182,9 +183,9 @@ class ImmigrationSpec:
         """One vector, or a ``(replicates, p)`` array of independent ones."""
         shape = self.values.shape if replicates is None else (replicates,) + self.values.shape
         if self.family == "poisson":
-            return rng.poisson(self.values, size=shape)
+            return _draw(rng.poisson, self.values, size=shape)
         if self.family == "geometric":
-            return rng.geometric(1.0 / (1.0 + self.values), size=shape) - 1
+            return _draw(rng.geometric, 1.0 / (1.0 + self.values), size=shape) - 1
         return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 

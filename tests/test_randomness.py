@@ -454,3 +454,78 @@ def test_shared_counts_intensity_guards():
             shared_counts(block_rng(1, 0), dep, np.full((1, 1, 1), np.nan))
     with pytest.raises(DivergenceError):  # the copula's inverse CDF cannot reach this far
         shared_counts(block_rng(1, 0), Dependence("comonotone"), np.full((1, 1, 1), 1e6))
+
+
+# --- draws through the generator's scalar call --------------------------------
+
+_LIMIT = randomness.SCALAR_DRAW_LIMIT
+
+
+def _draw_cases(k: int) -> list:
+    """``(method, params, size)`` for every kind of draw the block step makes, at ``k`` entries."""
+    lam = np.linspace(0.0, 6.0, k)
+    n = np.arange(k) % 5
+    return [
+        ("poisson", (lam.reshape(1, k, 1),), None),  # shared_poisson, Poisson thinning sums
+        ("binomial", (n, lam / 6.0), None),
+        ("negative_binomial", (n + 1, 1.0 / (1.0 + lam)), None),
+        ("poisson", (np.array([1.5]),), (k, 1)),  # ImmigrationSpec.sample: values drawn size times
+        ("geometric", (np.array([0.4]),), (k, 1)),
+    ]
+
+
+# (chains, replicates, q, p) of GINAR's thinning draw: (chains, R, q, 1, p) counts against
+# (q, p, p) means, giving 1, 4, 8, 9 and 192 entries.
+_THINNING_SHAPES = [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 3), (3, 64, 1, 1)]
+
+
+def _thinning_cases(shape: tuple) -> list:
+    chains, replicates, q, p = shape
+    n = (np.arange(chains * replicates * q * p) % 4).reshape(chains, replicates, q, 1, p)
+    means = np.linspace(0.05, 0.9, q * p * p).reshape(q, p, p)
+    return [("binomial", (n, means), None),
+            ("negative_binomial", (np.maximum(n, 1), 1.0 / (1.0 + means)), None)]
+
+
+def _assert_draws_match(cases: list, seed: int) -> None:
+    scalar, array = block_rng(seed, 0), block_rng(seed, 0)
+    for method, params, size in cases:
+        got = randomness._draw(getattr(scalar, method), *params, size=size)
+        want = getattr(array, method)(*params, size=size)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want), method
+        # Equal states after every draw: a reordered or extra draw fails here.
+        assert scalar.bit_generator.state == array.bit_generator.state, method
+
+
+@pytest.mark.parametrize("k", [1, _LIMIT, _LIMIT + 1, 64 * 3])
+def test_draw_matches_the_array_call(k):
+    _assert_draws_match(_draw_cases(k), 31 + k)
+
+
+@pytest.mark.parametrize("shape", _THINNING_SHAPES, ids=str)
+def test_draw_matches_the_array_call_on_thinning_broadcasts(shape):
+    _assert_draws_match(_thinning_cases(shape), 41)
+
+
+@pytest.mark.parametrize("k", [1, _LIMIT + 1])
+@pytest.mark.parametrize("method,good,bad", [
+    ("poisson", (), [np.nan, -1.0, 1e19]),
+    ("binomial", (3,), [np.nan, -0.1, 1.1]),
+    ("negative_binomial", (3,), [np.nan, 0.0, 1.1]),
+    ("geometric", (), [np.nan, 0.0, 1.1]),
+])
+def test_draw_refuses_what_the_array_call_refuses(k, method, good, bad):
+    # The two calls word the NaN message differently; only the type is pinned.
+    for value in bad:
+        params = tuple(np.full(k, g) for g in good) + (np.full(k, 0.5),)
+        params[-1][-1] = value
+        with pytest.raises(ValueError):
+            getattr(block_rng(1, 0), method)(*params)
+        with pytest.raises(ValueError):
+            randomness._draw(getattr(block_rng(1, 0), method), *params)
+    huge = (np.full(k, 2**60), np.full(k, 1e-12))  # negative_binomial's n (1 - p) / p past its maximum
+    with pytest.raises(ValueError):
+        block_rng(1, 0).negative_binomial(*huge)
+    with pytest.raises(ValueError):
+        randomness._draw(block_rng(1, 0).negative_binomial, *huge)
