@@ -1,20 +1,21 @@
 """Machine-checked stability conditions and closed-form Poisson oracles.
 
 Each checker evaluates the named scalar diagnostics of a model (spectral
-radii and operator norms of summed coefficient matrices), compares them to 1
-with strict inequality, and lists the conclusions the holding conditions
-license.  Values within 1e-12 of 1 are additionally flagged ``boundary``:
-the underlying results need strict inequality, so numerical equality is
-evidence of a knife-edge configuration rather than a pass.  Spectral-radius
-verdicts are certified by Collatz-Wielandt bounds (:func:`linalg.radius_bracket`):
-a bracket below or above 1 decides the verdict, and a bracket that contains
-1 sets ``boundary``.
+radii and operator norms of summed coefficient matrices), decides each
+condition's verdict and lists the conclusions the holding conditions
+license.  A spectral-radius verdict holds only when the certified bracket
+of :func:`linalg.certified_radius` lies below 1; a bracket that contains 1
+fails and is flagged ``boundary``, as :func:`linalg.stationary_mean` and
+``--strict`` also decide.  A norm verdict compares the norm to 1 with strict
+inequality and flags values within 1e-12 of 1 ``boundary``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import linalg
 from .models import GinarSpec, IngarchSpec, LogLinearSpec, ModelSpec
@@ -94,11 +95,48 @@ def _verdict(value: float) -> Verdict:
 
 def _radius(total) -> tuple[float, Verdict]:
     """Spectral radius of a nonnegative matrix and its certified verdict."""
-    lo, hi = linalg.radius_bracket(total)
-    # Clamped into the bracket, the estimate agrees with any bracket that excludes 1.
-    rho = min(max(linalg.spectral_radius(total), lo), hi)
-    return rho, Verdict(HOLDS if rho < 1.0 else FAILS,
-                        boundary=lo <= 1.0 <= hi or abs(rho - 1.0) <= _BOUNDARY_TOL)
+    radius = linalg.certified_radius(total)
+    return radius.value, Verdict(HOLDS if radius.stationary else FAILS, radius.boundary)
+
+
+def _lag_sum(*families) -> np.ndarray:
+    """``sum_i (F_i + G_i + ...)`` over the lags, added as ``((F_1 + G_1) + F_2) + G_2``."""
+    terms = [m for lag in zip(*families) for m in lag]
+    return sum(terms[1:], terms[0])
+
+
+def _norm_sum(spec: IngarchSpec, kind: str) -> float:
+    """Sum of the ``kind`` norms of all ``A_i``, then of all ``B_i``."""
+    return sum(linalg.matrix_norm(a, kind) for a in spec.lambda_matrices) \
+        + sum(linalg.matrix_norm(b, kind) for b in spec.count_matrices)
+
+
+_SOLUTION = "a unique stationary, non-anticipative, integrable solution exists"
+_EXP_MOMENTS = "some delta > 0 gives finite E exp(delta |Y_0|_1) and E exp(delta |lambda_0|_1)"
+
+# (model kind, verdict, conclusion, condition): a holding verdict licenses the
+# conclusion, listed in this order.
+_LICENSES = (
+    ("ginar", "stationarity", _SOLUTION, "rho(sum of thinning mean matrices) < 1"),
+    ("ginar", "stationarity", "E |X_0|_1^r is finite for every r > 1",
+     "stationarity plus finite moments of the counting and immigration families"),
+    ("ingarch", "stationarity", _SOLUTION, "rho(sum(A_i + B_i)) < 1"),
+    ("ingarch", "stationarity", "E |Y_t|_1^r is finite for every r > 1", "rho(sum(A_i + B_i)) < 1"),
+    ("ingarch", "exp_moment_l1", _EXP_MOMENTS, "sum of l1 norms of all A_i, B_i < 1"),
+    ("ingarch", "exp_moment_linf", _EXP_MOMENTS, "linf norm of sum(A_i + B_i) < 1"),
+    ("ingarch", "necessity_applicable",
+     "conversely, existence of a stationary integrable solution forces rho(sum(A_i + B_i)) < 1",
+     "all components of the intensity offset are positive"),
+    ("loglinear", "stationarity", _SOLUTION, "rho(sum(|A_i| + |B_i|)) < 1, entrywise absolute values"),
+    ("loglinear", "exp_moments", _EXP_MOMENTS, "linf norm of sum(|A_i| + |B_i|) < 1"),
+)
+
+
+def _report(kind: str, computed: dict, verdicts: dict, notes: list[str]) -> ConditionReport:
+    implications = [{"conclusion": conclusion, "condition": condition}
+                    for family, name, conclusion, condition in _LICENSES
+                    if family == kind and verdicts[name].status == HOLDS]
+    return ConditionReport(kind, computed, verdicts, implications, notes)
 
 
 def check_model(spec: ModelSpec) -> ConditionReport:
@@ -112,7 +150,7 @@ def check_model(spec: ModelSpec) -> ConditionReport:
 
 def check_ginar(spec: GinarSpec) -> ConditionReport:
     """Stationarity and moment conditions of the thinning model."""
-    total = sum(spec.mean_matrices[1:], spec.mean_matrices[0].copy())
+    total = _lag_sum(spec.mean_matrices)
     rho, stationarity = _radius(total)
     computed = {"rho_sum_means": Diagnostic(rho, total.tolist())}
     verdicts = {
@@ -121,34 +159,19 @@ def check_ginar(spec: GinarSpec) -> ConditionReport:
         # of every order, so the moment hypothesis holds by construction.
         "higher_order_moments": Verdict(HOLDS),
     }
-    implications = []
-    if verdicts["stationarity"].status == HOLDS:
-        implications.append({
-            "conclusion": "a unique stationary, non-anticipative, integrable solution exists",
-            "condition": "rho(sum of thinning mean matrices) < 1",
-        })
-        implications.append({
-            "conclusion": "E |X_0|_1^r is finite for every r > 1",
-            "condition": "stationarity plus finite moments of the counting and immigration families",
-        })
     notes = [
         f"counting family '{spec.counting_family}' and immigration family "
         f"'{spec.immigration.family}' have finite moments of every order",
     ]
-    return ConditionReport("ginar", computed, verdicts, implications, notes)
+    return _report("ginar", computed, verdicts, notes)
 
 
 def check_ingarch(spec: IngarchSpec) -> ConditionReport:
     """Stationarity, polynomial-moment and exponential-moment conditions."""
-    total = spec.lambda_matrices[0] + spec.count_matrices[0]
-    for j in range(1, spec.q):
-        total = total + spec.lambda_matrices[j] + spec.count_matrices[j]
+    total = _lag_sum(spec.lambda_matrices, spec.count_matrices)
     rho, stationarity = _radius(total)
-    l1_sum = sum(linalg.matrix_norm(a, "l1") for a in spec.lambda_matrices) \
-        + sum(linalg.matrix_norm(b, "l1") for b in spec.count_matrices)
+    l1_sum = _norm_sum(spec, "l1")
     linf = linalg.matrix_norm(total, "linf")
-    l2_sum = sum(linalg.matrix_norm(a, "l2") for a in spec.lambda_matrices) \
-        + sum(linalg.matrix_norm(b, "l2") for b in spec.count_matrices)
     min_d = float(spec.intensity_offset.min())
 
     computed = {
@@ -156,7 +179,7 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
         "l1_sum_norms": Diagnostic(l1_sum),
         "linf_sum": Diagnostic(linf, total.tolist()),
         # Informational only: no verdict attaches to the l2 diagnostic.
-        "l2_sum_norms": Diagnostic(l2_sum),
+        "l2_sum_norms": Diagnostic(_norm_sum(spec, "l2")),
         "min_offset": Diagnostic(min_d, spec.intensity_offset.tolist()),
     }
     verdicts = {
@@ -166,33 +189,6 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
         "exp_moment_linf": _verdict(linf),
         "necessity_applicable": Verdict(HOLDS if min_d > 0 else NOT_APPLICABLE),
     }
-
-    implications = []
-    if verdicts["stationarity"].status == HOLDS:
-        implications.append({
-            "conclusion": "a unique stationary, non-anticipative, integrable solution exists",
-            "condition": "rho(sum(A_i + B_i)) < 1",
-        })
-        implications.append({
-            "conclusion": "E |Y_t|_1^r is finite for every r > 1",
-            "condition": "rho(sum(A_i + B_i)) < 1",
-        })
-    if verdicts["exp_moment_l1"].status == HOLDS:
-        implications.append({
-            "conclusion": "some delta > 0 gives finite E exp(delta |Y_0|_1) and E exp(delta |lambda_0|_1)",
-            "condition": "sum of l1 norms of all A_i, B_i < 1",
-        })
-    if verdicts["exp_moment_linf"].status == HOLDS:
-        implications.append({
-            "conclusion": "some delta > 0 gives finite E exp(delta |Y_0|_1) and E exp(delta |lambda_0|_1)",
-            "condition": "linf norm of sum(A_i + B_i) < 1",
-        })
-    if verdicts["necessity_applicable"].status == HOLDS:
-        implications.append({
-            "conclusion": "conversely, existence of a stationary integrable solution forces rho(sum(A_i + B_i)) < 1",
-            "condition": "all components of the intensity offset are positive",
-        })
-
     notes = []
     if verdicts["stationarity"].status == HOLDS \
             and verdicts["exp_moment_l1"].status == FAILS \
@@ -202,15 +198,12 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
             "in dimension > 1 it is an open question whether the spectral-radius condition "
             "alone gives finite exponential moments"
         )
-    return ConditionReport("ingarch", computed, verdicts, implications, notes)
+    return _report("ingarch", computed, verdicts, notes)
 
 
 def check_loglinear(spec: LogLinearSpec) -> ConditionReport:
     """Conditions on the entrywise absolute values of the coefficients."""
-    total = linalg.entrywise_abs(spec.mu_matrices[0]) + linalg.entrywise_abs(spec.logcount_matrices[0])
-    for j in range(1, spec.q):
-        total = total + linalg.entrywise_abs(spec.mu_matrices[j]) \
-            + linalg.entrywise_abs(spec.logcount_matrices[j])
+    total = _lag_sum(np.abs(spec.mu_matrices), np.abs(spec.logcount_matrices))
     rho, stationarity = _radius(total)
     linf = linalg.matrix_norm(total, "linf")
     computed = {
@@ -221,18 +214,7 @@ def check_loglinear(spec: LogLinearSpec) -> ConditionReport:
         "stationarity": stationarity,
         "exp_moments": _verdict(linf),
     }
-    implications = []
-    if verdicts["stationarity"].status == HOLDS:
-        implications.append({
-            "conclusion": "a unique stationary, non-anticipative, integrable solution exists",
-            "condition": "rho(sum(|A_i| + |B_i|)) < 1, entrywise absolute values",
-        })
-    if verdicts["exp_moments"].status == HOLDS:
-        implications.append({
-            "conclusion": "some delta > 0 gives finite E exp(delta |Y_0|_1) and E exp(delta |lambda_0|_1)",
-            "condition": "linf norm of sum(|A_i| + |B_i|) < 1",
-        })
-    return ConditionReport("loglinear", computed, verdicts, implications)
+    return _report("loglinear", computed, verdicts, [])
 
 
 def stirling2(n: int, k: int) -> int:

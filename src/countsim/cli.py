@@ -70,10 +70,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: trajectory diverged: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

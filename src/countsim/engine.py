@@ -20,7 +20,7 @@ composite states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 from typing import ClassVar
 
@@ -166,9 +166,6 @@ class SamplePath:
 
     counts: np.ndarray
     intensities: np.ndarray
-    burn_in: int
-    lineage: tuple[int, int]
-    model_kind: str
 
     @property
     def length(self) -> int:
@@ -210,7 +207,7 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
         if t >= burn_in:
             counts[t - burn_in] = y[0, 0]
             intensities[t - burn_in] = intensity[0, 0]
-    return SamplePath(counts, intensities, burn_in, (int(master_seed), int(replicate_id)), spec.kind)
+    return SamplePath(counts, intensities)
 
 
 def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str, tuple[int, int]]:
@@ -350,7 +347,6 @@ class MomentReport:
     sample_size: int
     burn_in: int
     replicates: int
-    lineage: tuple[int, ...] = field(default=())
 
 
 def _logsumexp(values: np.ndarray, axis=None):
@@ -476,8 +472,7 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
         top10_share = float(np.exp(_logsumexp(top10_all) - total_lse))
         exponential[delta] = ExponentialMoment(float(total_lse - np.log(total)), se, top10_share, top10_share > 0.5)
 
-    return MomentReport(polynomial, exponential, total, burn_in, replicates,
-                        lineage=(int(master_seed),))
+    return MomentReport(polynomial, exponential, total, burn_in, replicates)
 
 
 def _block_task(args):

@@ -1,18 +1,25 @@
 """Dense linear algebra for small nonnegative systems.
 
-Operator norms, spectral radii, companion matrices and the fixed-point mean
-solve used by the stability checkers.  Matrices are plain ``numpy`` arrays
-(row-major nested lists are accepted everywhere and converted eagerly, with
-shape and finiteness validated up front).  All functions are pure.
+Operator norms, spectral radii, companion matrices, the certified stability
+rule and the fixed-point mean solve used by the stability checkers.  Inputs
+may be nested lists; each passes :func:`randomness.checked_array`, so a
+nonsquare, empty, non-finite or (where the function needs it) negative one
+raises :class:`ConfigError`, a ``ValueError``.  All functions are pure.
+
+One rule decides ``rho < 1``: it holds only when the certified bracket of
+:func:`certified_radius` lies below 1, and a bracket that contains 1 is a
+``boundary`` case that fails.  The checkers and :func:`stationary_mean`
+both apply it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import StationarityError
+from .errors import Problems, StationarityError
+from .randomness import checked_array
 
 #: Supported operator-norm kinds.
 NORM_KINDS = ("l1", "l2", "linf")
@@ -22,67 +29,32 @@ NORM_KINDS = ("l1", "l2", "linf")
 _BRACKET_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Convert ``values`` to a validated 2-D float array.
-
-    Parameters
-    ----------
-    values : array-like
-        Nested sequences or ndarray, row-major.
-    name : str
-        Label used in error messages.
-
-    Raises
-    ------
-    ValueError
-        If the input is not two-dimensional or contains non-finite entries.
-    """
-    m = np.asarray(values, dtype=float)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+def _checked(values, path: str, problems: Problems, rule: str = "real", square: bool = True):
+    """``values`` as a non-empty (square) float matrix obeying ``rule``, or None after filing a problem."""
+    m = checked_array(values, (None, None), path, problems, rule)
+    if m is not None and (m.size == 0 or square and m.shape[0] != m.shape[1]):
+        problems.add(path, f"expected a non-empty {'square ' if square else ''}matrix, got shape {m.shape}")
+        return None
     return m
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Convert ``values`` to a validated 1-D float array."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def _require_square(m: np.ndarray, name: str) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+def _matrix(values, rule: str = "real", square: bool = True) -> np.ndarray:
+    problems = Problems()
+    m = _checked(values, "matrix", problems, rule, square)
+    problems.raise_if_any()
     return m
 
 
 def entrywise_abs(m) -> np.ndarray:
     """Entrywise absolute value, same shape as the input."""
-    return np.abs(as_matrix(m))
+    return np.abs(_matrix(m, square=False))
 
 
 def matrix_norm(m, kind: str) -> float:
-    """Operator norm of a square matrix.
-
-    Parameters
-    ----------
-    m : array-like
-        Square matrix.
-    kind : str
-        One of ``"l1"`` (max absolute column sum), ``"linf"`` (max absolute
-        row sum) or ``"l2"`` (largest singular value).
-
-    Returns
-    -------
-    float
-        The requested norm, nonnegative.
-    """
-    m = _require_square(as_matrix(m), "matrix")
+    """Operator norm of a square matrix: ``kind`` is ``"l1"`` (max absolute
+    column sum), ``"linf"`` (max absolute row sum) or ``"l2"`` (largest
+    singular value)."""
+    m = _matrix(m)
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
     if kind == "l1":
@@ -93,9 +65,8 @@ def matrix_norm(m, kind: str) -> float:
 
 
 def spectral_radius(m) -> float:
-    """Largest modulus of the eigenvalues (LAPACK ``geev``)."""
-    m = _require_square(as_matrix(m), "matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    """Largest modulus of the eigenvalues (LAPACK ``geev``), uncertified."""
+    return float(np.max(np.abs(np.linalg.eigvals(_matrix(m)))))
 
 
 def strong_components(m) -> list[list[int]]:
@@ -113,8 +84,24 @@ def strong_components(m) -> list[list[int]]:
     return components
 
 
-def radius_bracket(m) -> tuple[float, float]:
-    """Certified bounds ``lo <= rho(m) <= hi`` for a nonnegative matrix.
+class Radius(NamedTuple):
+    """Spectral radius estimate ``value`` inside certified bounds ``lo <= rho <= hi``."""
+
+    value: float
+    lo: float
+    hi: float
+
+    @property
+    def stationary(self) -> bool:  # rho < 1 is certified
+        return self.hi < 1.0
+
+    @property
+    def boundary(self) -> bool:  # undecided, so not stationary
+        return self.lo <= 1.0 <= self.hi
+
+
+def certified_radius(m) -> Radius:
+    """Perron root of a nonnegative matrix, clamped into certified bounds.
 
     The spectral radius of a nonnegative matrix is the largest over its
     strongly connected diagonal blocks.  On an irreducible block ``B``, every
@@ -127,25 +114,28 @@ def radius_bracket(m) -> tuple[float, float]:
     The Perron root is the eigenvalue with the largest real part: on a
     periodic block every peripheral eigenvalue has modulus ``rho``, but only
     the Perron root is real and positive.  Its eigenvector is a complex
-    multiple of a positive vector, so ``x`` is its entrywise modulus.
+    multiple of a positive vector, so ``x`` is its entrywise modulus.  One
+    eigendecomposition per block of size > 1 gives both the estimate and
+    the bracket; the estimate is clamped into the bracket, so it agrees with
+    any bracket that excludes 1.
     """
-    m = _require_square(as_matrix(m), "matrix")
-    if np.any(m < 0):
-        raise ValueError("radius bracket needs a nonnegative matrix")
-    lo = hi = 0.0
+    m = _matrix(m, "nonnegative")
+    value = lo = hi = 0.0
     for component in strong_components(m):
         block = m[np.ix_(component, component)]
         if len(component) == 1:
-            block_lo = block_hi = float(block[0, 0])
+            block_value = block_lo = block_hi = float(block[0, 0])
         else:
             values, vectors = np.linalg.eig(block)
-            x = np.maximum(np.abs(vectors[:, np.argmax(values.real)]), np.finfo(float).tiny)
+            perron = np.argmax(values.real)
+            block_value = float(values[perron].real)
+            x = np.maximum(np.abs(vectors[:, perron]), np.finfo(float).tiny)
             ratios = (block @ x) / x
             slack = _BRACKET_SLACK * len(component)
             block_lo = float(ratios.min()) * (1.0 - slack)
             block_hi = float(ratios.max()) * (1.0 + slack)
-        lo, hi = max(lo, block_lo), max(hi, block_hi)
-    return lo, hi
+        value, lo, hi = max(value, block_value), max(lo, block_lo), max(hi, block_hi)
+    return Radius(min(max(value, lo), hi), lo, hi)
 
 
 def companion(blocks: Sequence) -> np.ndarray:
@@ -154,23 +144,14 @@ def companion(blocks: Sequence) -> np.ndarray:
     For blocks ``E_1, ..., E_q`` of common size ``e`` the result is the
     ``qe x qe`` matrix with first block row ``[E_1 ... E_q]``, an identity of
     size ``(q-1)e`` below-left and zeros below-right.  For ``q == 1`` the
-    single block is returned unchanged.
-
-    Raises
-    ------
-    ValueError
-        If block sizes mismatch or any entry is negative.
+    single block is returned unchanged.  Blocks must be nonnegative.
     """
-    if len(blocks) == 0:
-        raise ValueError("expected at least one block")
-    mats = [_require_square(as_matrix(b, f"block {i}"), f"block {i}") for i, b in enumerate(blocks)]
-    e = mats[0].shape[0]
-    for i, b in enumerate(mats):
-        if b.shape != (e, e):
-            raise ValueError(f"block {i} has shape {b.shape}, expected ({e}, {e})")
-        if np.any(b < 0):
-            raise ValueError(f"block {i} has negative entries")
-    q = len(mats)
+    problems = Problems()
+    mats = [_checked(b, f"block {i}", problems, "nonnegative") for i, b in enumerate(blocks)]
+    if not mats or len({b.shape for b in mats if b is not None}) > 1:
+        problems.add("blocks", "expected one or more blocks of one size")
+    problems.raise_if_any()
+    q, e = len(mats), mats[0].shape[0]
     if q == 1:
         return mats[0].copy()
     f = np.zeros((q * e, q * e))
@@ -183,39 +164,20 @@ def companion(blocks: Sequence) -> np.ndarray:
 def stationary_mean(d, e_total) -> np.ndarray:
     """Unique solution ``m`` of the fixed-point identity ``m = d + E m``.
 
-    Parameters
-    ----------
-    d : array-like
-        Nonnegative offset vector.
-    e_total : array-like
-        Nonnegative square matrix with spectral radius strictly below 1.
-
-    Returns
-    -------
-    np.ndarray
-        The solution of ``(I - E) m = d`` by a direct linear solve with
-        partial pivoting; all components nonnegative.
-
-    Raises
-    ------
-    StationarityError
-        If ``rho(e_total) >= 1``.
-    ValueError
-        On negative inputs or a numerically singular system.
+    ``d`` is a nonnegative vector and ``e_total`` a nonnegative square
+    matrix.  ``(I - E) m = d`` is solved directly, with partial pivoting,
+    and every component of ``m`` is nonnegative.  Raises
+    :class:`StationarityError` unless the certified bracket of
+    :func:`certified_radius` lies below 1, so ``rho = 1`` is refused too.
     """
-    d = as_vector(d, "offset")
-    e = _require_square(as_matrix(e_total, "coefficient matrix"), "coefficient matrix")
-    if d.shape[0] != e.shape[0]:
-        raise ValueError(f"offset length {d.shape[0]} does not match matrix size {e.shape[0]}")
-    if np.any(d < 0):
-        raise ValueError("offset has negative entries")
-    if np.any(e < 0):
-        raise ValueError("coefficient matrix has negative entries")
-    rho = spectral_radius(e)
-    if rho >= 1.0:
-        raise StationarityError(f"spectral radius {rho:.6f} >= 1, no stationary mean exists")
-    try:
-        m = np.linalg.solve(np.eye(e.shape[0]) - e, d)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"mean solve failed: {exc}") from exc
-    return m
+    problems = Problems()
+    d = checked_array(d, (None,), "offset", problems, "nonnegative")
+    e = _checked(e_total, "coefficient matrix", problems, "nonnegative")
+    if d is not None and e is not None and d.shape[0] != e.shape[0]:
+        problems.add("offset", f"length {d.shape[0]} does not match matrix size {e.shape[0]}")
+    problems.raise_if_any()
+    radius = certified_radius(e)
+    if not radius.stationary:
+        raise StationarityError(f"spectral radius bracket [{radius.lo!r}, {radius.hi!r}] "
+                                "is not below 1, no stationary mean exists")
+    return np.linalg.solve(np.eye(e.shape[0]) - e, d)

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from countsim import analysis
+from countsim import analysis, cli, linalg
 from countsim.analysis import (
     FAILS,
     HOLDS,
@@ -16,6 +17,8 @@ from countsim.analysis import (
     poisson_raw_moment,
     stirling2,
 )
+from countsim.config import parse_config_file
+from countsim.errors import StationarityError
 from countsim.models import GinarSpec, ImmigrationSpec, IngarchSpec, LogLinearSpec
 
 
@@ -161,8 +164,6 @@ def test_check_model_dispatch():
 
 
 def test_report_serializes_to_plain_types():
-    import json
-
     report = check_ingarch(ingarch([[[0.1]]], [[[0.2]]]))
     text = json.dumps(report.to_dict())
     assert "rho_sum_AB" in text
@@ -267,9 +268,9 @@ def test_jordan_block_is_flagged_boundary():
 
 def test_irreducible_knife_edge_is_flagged_boundary():
     report = check_ingarch(ingarch([[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.5], [0.5, 0.5]]]))
-    assert report.verdicts["stationarity"].boundary
+    assert report.verdicts["stationarity"] == analysis.Verdict(FAILS, boundary=True)
     report = check_loglinear(loglinear([[[0.25, -0.25], [0.0, 0.0]]], [[[0.25, 0.25], [-0.5, -0.5]]]))
-    assert report.verdicts["stationarity"].boundary
+    assert report.verdicts["stationarity"] == analysis.Verdict(FAILS, boundary=True)
     near = check_ingarch(ingarch([[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.4999], [0.5, 0.5]]]))
     assert near.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)
 
@@ -280,3 +281,28 @@ def test_periodic_count_matrix_holds_without_boundary(period):
     report = check_ingarch(ingarch([np.zeros((period, period)).tolist()], [cycle]))
     assert report.computed["rho_sum_AB"].value == pytest.approx(0.9, abs=1e-12)
     assert report.verdicts["stationarity"] == analysis.Verdict(HOLDS, boundary=False)
+
+
+# Each matrix has spectral radius exactly 1, which eigenvalues round to
+# either side of 1 and the certified bracket contains.
+@pytest.mark.parametrize("kind,matrix", [
+    pytest.param("ingarch", [[0.7, 0.3], [0.3, 0.7]], id="ingarch-symmetric"),
+    pytest.param("ingarch", [[0.3, 0.7], [0.6, 0.4]], id="ingarch-row-stochastic"),
+    pytest.param("ingarch", [[0.5, 0.5], [0.5, 0.5]], id="ingarch-rank-one"),
+    pytest.param("ginar", [[0.7, 0.3], [0.3, 0.7]], id="ginar-poisson"),
+])
+def test_knife_edge_fails_in_checker_mean_and_strict_mode(kind, matrix, tmp_path):
+    if kind == "ingarch":
+        model = {"kind": "ingarch", "p": 2, "q": 1, "intensity_offset": [1.0, 1.0],
+                 "lambda_matrices": [[[0.0, 0.0], [0.0, 0.0]]], "count_matrices": [matrix]}
+    else:
+        model = {"kind": "ginar", "p": 2, "q": 1, "mean_matrices": [matrix], "counting_family": "poisson",
+                 "immigration": {"family": "poisson", "values": [1.0, 1.0]}}
+    config = tmp_path / "knife_edge.json"
+    config.write_text(json.dumps({"seed": 1, "model": model, "experiment": {"kind": "check"}}))
+    report = check_model(parse_config_file(str(config)).model)
+    assert report.verdicts["stationarity"] == analysis.Verdict(FAILS, boundary=True)
+    assert not any(i["conclusion"].startswith("a unique stationary") for i in report.implications)
+    with pytest.raises(StationarityError, match=r"bracket \[[0-9.e+-]+, [0-9.e+-]+\] is not below 1"):
+        linalg.stationary_mean([1.0, 1.0], matrix)
+    assert cli.main(["check", "--config", str(config), "--strict", "--out", str(tmp_path / "out")]) == 2

@@ -232,15 +232,16 @@ def test_spectral_radius_of_defective_matrices():
 
 
 def test_radius_bracket_is_exact_on_triangular_matrices():
-    assert linalg.radius_bracket(DEFECTIVE) == (0.5, 0.5)
-    assert linalg.radius_bracket(JORDAN) == (1.0, 1.0)
-    assert linalg.radius_bracket([[0.0, 0.9], [0.0, 0.0]]) == (0.0, 0.0)
+    assert linalg.certified_radius(DEFECTIVE) == (0.5, 0.5, 0.5)
+    assert linalg.certified_radius(JORDAN) == (1.0, 1.0, 1.0)
+    assert linalg.certified_radius([[0.0, 0.9], [0.0, 0.0]]) == (0.0, 0.0, 0.0)
 
 
 def test_radius_bracket_contains_one_on_the_knife_edge():
-    lo, hi = linalg.radius_bracket([[0.5, 0.5], [0.5, 0.5]])
-    assert lo <= 1.0 <= hi
-    assert hi - lo < 1e-14
+    radius = linalg.certified_radius([[0.5, 0.5], [0.5, 0.5]])
+    assert radius.lo <= radius.value <= radius.hi
+    assert radius.lo <= 1.0 <= radius.hi and radius.boundary and not radius.stationary
+    assert radius.hi - radius.lo < 1e-14
 
 
 def test_radius_bracket_takes_the_largest_strong_component():
@@ -248,10 +249,10 @@ def test_radius_bracket_takes_the_largest_strong_component():
     # not reach back, so it is its own block with radius 0.6.
     m = [[0.3, 0.2, 0.0], [0.2, 0.3, 0.0], [5.0, 5.0, 0.6]]
     assert linalg.strong_components(np.asarray(m)) == [[0, 1], [2]]
-    lo, hi = linalg.radius_bracket(m)
+    _, lo, hi = linalg.certified_radius(m)
     assert lo <= 0.6 <= hi and hi - lo < 1e-14
     m[2][2] = 0.1
-    lo, hi = linalg.radius_bracket(m)
+    _, lo, hi = linalg.certified_radius(m)
     assert lo <= 0.5 <= hi and hi - lo < 1e-14
 
 
@@ -260,15 +261,16 @@ def test_radius_bracket_encloses_eigenvalue_radius_of_random_matrices():
     for _ in range(200):
         p = int(rng.integers(1, 6))
         m = rng.uniform(size=(p, p)) * (rng.uniform(size=(p, p)) < 0.5)
-        lo, hi = linalg.radius_bracket(m)
+        estimate, lo, hi = linalg.certified_radius(m)
         rho = linalg.spectral_radius(m)
         assert lo - 1e-9 <= rho <= hi + 1e-9
+        assert lo <= estimate <= hi
         assert hi - lo <= 1e-12 * max(1.0, hi)
 
 
 def test_radius_bracket_rejects_negative_entries():
     with pytest.raises(ValueError):
-        linalg.radius_bracket([[0.5, -0.1], [0.0, 0.5]])
+        linalg.certified_radius([[0.5, -0.1], [0.0, 0.5]])
 
 
 @pytest.mark.parametrize("period", [3, 4, 5])
@@ -277,9 +279,9 @@ def test_radius_bracket_is_tight_on_periodic_blocks(period):
     # bracket must come from the real Perron root, not whichever one is
     # rounded largest.
     m = 0.9 * np.roll(np.eye(period), 1, axis=1)
-    lo, hi = linalg.radius_bracket(m)
+    _, lo, hi = linalg.certified_radius(m)
     assert lo <= 0.9 <= hi and hi - lo < 1e-14
     weighted = m * np.arange(1.0, period + 1.0)[:, None]  # radius = 0.9 * (period!) ** (1 / period)
-    lo, hi = linalg.radius_bracket(weighted)
+    _, lo, hi = linalg.certified_radius(weighted)
     rho = 0.9 * math.factorial(period) ** (1.0 / period)
     assert lo <= rho * (1 + 1e-14) and rho * (1 - 1e-14) <= hi and hi - lo < 1e-13 * rho
