@@ -16,7 +16,11 @@ chains share is drawn in closed form from both chains' parameters at once:
 * :func:`shared_thinning` -- thinning sums over the shared prefix of one
   counting sequence, plus independent sums over each chain's extra terms;
 * :func:`poisson_quantile` -- the Poisson inverse CDF at the copula's normal
-  scores, which both chains share (:func:`shared_counts`).
+  scores, which both chains share (:func:`shared_counts`): one cumulative sum
+  over a window of Poisson terms gives the CDF of lower-half entries and the
+  upper tail of upper-half ones, and the window grows until the geometric
+  bound on the mass beyond it, from the first omitted term on, cannot change
+  an answer.
 
 Draws of at most :data:`SCALAR_DRAW_LIMIT` entries loop the generator's scalar
 call, with the same bits and the same argument checks, and larger arrays use
@@ -155,6 +159,19 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 SCALAR_DRAW_LIMIT = 8
 
 
+def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` itself if it has ``shape``, else a new array of ``a`` broadcast to it.
+
+    Filling an empty array costs about 3 us less than ``np.broadcast_to`` and
+    gives a contiguous array.
+    """
+    if a.shape == shape:
+        return a
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
 def _draw(method, *params, size=None) -> np.ndarray:
     """``method(*params, size=size)`` for a generator method such as ``rng.poisson`` and array parameters.
 
@@ -170,10 +187,7 @@ def _draw(method, *params, size=None) -> np.ndarray:
         if size is None and entries.size <= SCALAR_DRAW_LIMIT:
             return np.fromiter(starmap(method, entries), np.int64, entries.size).reshape(entries.shape)
     elif (params[0].size if size is None else math.prod(size)) <= SCALAR_DRAW_LIMIT:
-        values = params[0]
-        if size is not None:  # filled in place: np.broadcast_to costs about 3 us more
-            values = np.empty(size)
-            values[...] = params[0]
+        values = params[0] if size is None else _filled(params[0], size)
         # Python floats take the scalar call's fastest path.
         return np.fromiter(map(method, values.ravel().tolist()), np.int64, values.size).reshape(values.shape)
     return method(*params) if size is None else method(*params, size=size)  # size=None costs 2 us
@@ -203,8 +217,8 @@ def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
                      base + np.where(first_higher, 0, extra)))
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 _TINY = np.finfo(float).tiny
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def poisson_quantile(scores, lam) -> np.ndarray:
@@ -214,42 +228,68 @@ def poisson_quantile(scores, lam) -> np.ndarray:
     ``u = Phi(score)``, summed term by term exactly as
     :func:`poisson_inverse_cdf` does.  The upper half is the smallest ``k``
     with ``P(X > k) <= Phi(-score)``, so a probability that would round to 1
-    is never formed.  Both tail masses come from ``erfc``.  Terms are taken
-    over a window that widens until the mass beyond it cannot change the
-    result; an :class:`OverflowError` is raised when that needs more than
-    ``lam + 40*sqrt(lam) + 250`` terms (more than any tail mass down to the
-    smallest normal double needs) or when the leading term underflows.
+    is never formed; ``P(X > k)`` is summed from the far end of the window
+    down.  Both tail masses come from ``erfc``.
+
+    One pass serves both halves: the term matrix has its upper-half columns
+    reversed, so one cumulative sum gives the CDF in lower columns and the
+    upper tail sums in upper ones, and one comparison against the tail mass
+    counts ``k``.  The window widens until the mass beyond it cannot change
+    the result.  Past the last term ``pmf_W`` the first omitted term is
+    ``pmf_W * lam / (W + 1)`` and each later one at most ``lam / (W + 1)``
+    times the one before, so the omitted mass is at most
+    ``pmf_W * lam / (W + 1 - lam)``; the ratio is below 1 because every
+    window ends past ``lam + 4``.  An :class:`OverflowError` is raised when
+    that needs more than ``lam + 40*sqrt(lam) + 250`` terms (more than any
+    tail mass down to the smallest normal double needs) or when the leading
+    term underflows.  Empty input gives an empty result.
     """
-    z, lam = np.broadcast_arrays(np.asarray(scores, dtype=float), np.asarray(lam, dtype=float))
+    z, lam = np.asarray(scores, dtype=float), np.asarray(lam, dtype=float)
+    if z.shape != lam.shape:
+        shape = np.broadcast(z, lam).shape
+        z, lam = _filled(z, shape), _filled(lam, shape)
     shape = lam.shape
     z, lam = z.ravel(), lam.ravel()
-    if np.isnan(z).any() or not lam.min() >= 0.0:
+    n = lam.size
+    if n == 0:
+        return np.zeros(shape, dtype=np.int64)
+    if not lam.min() >= 0.0:
         raise ValueError("scores must not be NaN; intensities must be nonnegative")
     head = np.exp(-lam)
-    if (head == 0.0).any():
+    if not head.min() > 0.0:
         raise OverflowError(f"intensity {lam.max()} too large for sequential inverse CDF")
+    az = np.abs(z)
+    reach = float((lam + (az + 3.0) * np.sqrt(lam)).max())
+    if math.isnan(reach):  # lam is not NaN here, so a score is
+        raise ValueError("scores must not be NaN; intensities must be nonnegative")
     upper = z > 0.0
-    tail = np.maximum(0.5 * _erfc(np.abs(z) * math.sqrt(0.5)).astype(float), _TINY)
-    columns = np.arange(lam.size)
+    tail = np.fromiter(map(math.erfc, (az * _SQRT_HALF).tolist()), float, n)
+    tail *= 0.5
+    np.maximum(tail, _TINY, out=tail)
+    # acc < thresh is acc < tail in lower columns and acc <= tail in upper ones.
+    thresh = np.where(upper, np.nextafter(tail, np.inf), tail)
+    last_row = np.arange(-n, 0)  # flat offsets of row -1, for reading row count - 1
     lam_max = float(lam.max())
     cap = int(lam_max + 40.0 * math.sqrt(lam_max) + 250.0)
-    width = min(cap, int(np.max(lam + (np.abs(z) + 3.0) * np.sqrt(lam))) + 5)
+    width = min(cap, int(reach) + 5)
     while True:
-        # Row k holds term k of every entry, so each column is summed in
-        # order, exactly as the scalar search sums it.
-        pmf = np.empty((width + 1, lam.size))
+        # Row k holds term k of every entry and row width + 1 a zero, so each
+        # column is multiplied and summed in order, as the scalar search does.
+        pmf = np.empty((width + 2, n))
         pmf[0] = head
-        np.divide(lam, np.arange(1.0, width + 1.0)[:, None], out=pmf[1:])
-        np.cumprod(pmf, axis=0, out=pmf)
-        cdf = np.cumsum(pmf, axis=0)
-        above = np.zeros_like(pmf)  # P(X > k) within the window
-        above[:-1] = np.cumsum(pmf[:0:-1], axis=0)[::-1]
-        k = np.where(upper, np.count_nonzero(above > tail, axis=0), np.count_nonzero(cdf < tail, axis=0))
-        # The mass beyond the window is at most pmf_width * r / (1 - r); an
-        # upper-half answer is exact once adding it keeps P(X > k) <= tail.
-        ratio = lam / (width + 2.0)
-        beyond = np.where(ratio < 1.0, pmf[-1] * ratio / np.maximum(1.0 - ratio, _TINY), np.inf)
-        if np.where(upper, above[k, columns] + beyond <= tail, cdf[-1] >= tail).all():
+        np.divide(lam, np.arange(1.0, width + 1.0)[:, None], out=pmf[1:-1])
+        pmf[-1] = 0.0
+        np.multiply.accumulate(pmf, axis=0, out=pmf)
+        # Upper columns are reversed: they start at the zero row, and row j
+        # sums to P(X > width - j) within the window.  Lower columns sum to the CDF.
+        acc = np.where(upper, pmf[::-1], pmf)
+        np.add.accumulate(acc, axis=0, out=acc)
+        count = np.add.reduce(acc < thresh, axis=0)
+        k = np.where(upper, width + 1 - count, count)
+        # A lower answer is exact once it lies in the window; an upper one once
+        # P(X > k), its row count - 1, stays <= tail with the mass beyond added.
+        beyond = pmf[-2] * lam / (width + 1.0 - lam)
+        if k.max() <= width and ((acc.take(count * n + last_row) + beyond < thresh) >= upper).all():
             return k.reshape(shape)
         if width >= cap:
             raise OverflowError(f"inverse CDF search exceeded cap {cap} at intensity {lam_max}")

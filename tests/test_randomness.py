@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from countsim import randomness
@@ -424,6 +425,47 @@ def test_poisson_quantile_zero_intensity_and_guards():
         poisson_quantile([np.nan], 1.0)
     with pytest.raises(OverflowError):
         poisson_quantile([0.5], 1e6)  # leading term underflows
+
+
+def test_poisson_quantile_empty_input():
+    out = poisson_quantile([], [])
+    assert out.shape == (0,) and out.dtype == np.int64
+    assert poisson_quantile(np.zeros((4, 0)), np.ones((2, 4, 0))).shape == (2, 4, 0)
+
+
+@pytest.mark.parametrize("score, lam, expected", [
+    (9.058824, 0.001924, 6), (8.147910, 0.265037, 12), (7.629850, 0.273566, 11), (9.0, 0.01, 7)])
+def test_poisson_quantile_widens_a_short_window_to_the_exact_answer(score, lam, expected):
+    # Alone, each entry's answer lies past its first window, so the window
+    # grows.  The mass beyond a window starts at pmf_W * lam / (W + 1); a
+    # bound with ratio lam / (W + 2) falls short and stops the first three one short.
+    k = int(poisson_quantile([score], [lam])[0])
+    assert k > int(lam + (score + 3.0) * math.sqrt(lam)) + 5
+    tail = 0.5 * math.erfc(score / math.sqrt(2.0))
+    assert _survival(k, lam) <= tail < _survival(k - 1, lam)
+    assert k == expected
+
+
+def test_poisson_quantile_law_across_engine_shapes():
+    # The block engine's shapes: one or two chains of up to 64 replicates and
+    # p <= 3, scores per coordinate or one comonotone score per replicate.
+    # Every entry must be its own quantile, whatever the batch it is in.
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        chains, R, p = int(rng.integers(1, 3)), int(rng.integers(1, 65)), int(rng.integers(1, 4))
+        scores = rng.uniform(-9.0, 9.0, (R, 1 if rng.random() < 0.3 else p))
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), (chains, R, p)))
+        lam[rng.random(lam.shape) < 0.1] = 0.0
+        got = poisson_quantile(scores, lam)
+        assert got.shape == lam.shape
+        z = np.broadcast_to(scores, lam.shape)
+        for score, mean, k in zip(z.ravel().tolist(), lam.ravel().tolist(), got.ravel().tolist()):
+            assert poisson_quantile([score], [mean])[0] == k
+            tail = 0.5 * math.erfc(abs(score) * math.sqrt(0.5))
+            if score <= 0.0:
+                assert k == poisson_inverse_cdf(tail, mean)
+            else:  # pdtrc(k, lam) is P(X > k)
+                assert scipy.special.pdtrc(k, mean) <= tail < (1.0 if k == 0 else scipy.special.pdtrc(k - 1, mean))
 
 
 @pytest.mark.parametrize("scheme", ["independent", "comonotone", "gaussian"])
