@@ -33,19 +33,13 @@ class Verdict:
     status: str
     boundary: bool = False
 
-    def to_dict(self) -> dict:
-        return {"status": self.status, "boundary": self.boundary}
-
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """A named scalar together with the matrix it was computed from."""
+    """A named scalar together with the matrix it was computed from, or None."""
 
     value: float
-    matrix: list | None = None
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "matrix": self.matrix}
+    matrix: list | None
 
 
 @dataclass
@@ -60,15 +54,6 @@ class ConditionReport:
 
     def holds(self, name: str) -> bool:
         return self.verdicts[name].status == HOLDS
-
-    def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "computed": {k: v.to_dict() for k, v in self.computed.items()},
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-            "implications": self.implications,
-            "notes": self.notes,
-        }
 
     def format_table(self) -> str:
         lines = [f"condition report ({self.model_kind})"]
@@ -176,10 +161,10 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
 
     computed = {
         "rho_sum_AB": Diagnostic(rho, total.tolist()),
-        "l1_sum_norms": Diagnostic(l1_sum),
+        "l1_sum_norms": Diagnostic(l1_sum, None),
         "linf_sum": Diagnostic(linf, total.tolist()),
         # Informational only: no verdict attaches to the l2 diagnostic.
-        "l2_sum_norms": Diagnostic(_norm_sum(spec, "l2")),
+        "l2_sum_norms": Diagnostic(_norm_sum(spec, "l2"), None),
         "min_offset": Diagnostic(min_d, spec.intensity_offset.tolist()),
     }
     verdicts = {

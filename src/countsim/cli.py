@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, analysis, engine
-from .config import ExperimentConfig, parse_config_file
+from .config import ExperimentConfig, parse_config_file, plain
 from .errors import ConfigurationError, DivergenceError
 
 
@@ -92,7 +92,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     out_dir = config.output_dir if out_dir is None else out_dir
     exp = config.experiment
     if exp.kind == "check":
-        results, summary, extra_files = report.to_dict(), report.format_table(), []
+        results, summary, extra_files = plain(report), report.format_table(), []
     else:
         results, summary, extra_files = _RUNNERS[exp.kind](config, out_dir, jobs)
 
@@ -147,29 +147,16 @@ def _run_couple(config: ExperimentConfig, out_dir: str, jobs: int):
         config.model, exp.n, exp.window_a, exp.window_b,
         master_seed=config.seed, replicates=exp.replicates, jobs=jobs,
     )
-    results = {
-        "n": exp.n,
-        "replicates": exp.replicates,
-        "initial_distance": ensemble.initial_distance,
-        "final_mean_distance": float(ensemble.mean_distances[-1]),
-        "median_final_distance": ensemble.median_final_distance,
-        "fitted_rate": ensemble.fitted_rate,
-        "fit_window": list(ensemble.fit_window),
-        "mean_distances": [float(v) for v in ensemble.mean_distances],
-    }
+    final = float(ensemble.mean_distances[-1])
+    results = {**plain(ensemble), "final_mean_distance": plain(final)}
     rate = ensemble.fitted_rate
     rate_text = f"{rate:.6f}" if isinstance(rate, float) else rate
     summary = (
         f"coupled {exp.replicates} replicates for {exp.n} iterations: "
         f"initial distance {ensemble.initial_distance:.6g}, "
-        f"final mean {float(ensemble.mean_distances[-1]):.6g}, fitted rate {rate_text}"
+        f"final mean {final:.6g}, fitted rate {rate_text}"
     )
     return results, summary, []
-
-
-def _finite(value: float) -> float | None:
-    """``value``, or None (JSON null) when it is infinite or NaN."""
-    return value if math.isfinite(value) else None
 
 
 def _text(value: float, spec: str) -> str:
@@ -182,24 +169,6 @@ def _run_moments(config: ExperimentConfig, out_dir: str, jobs: int):
         config.model, list(exp.r_values), list(exp.delta_values),
         exp.T, exp.burn_in, exp.replicates, master_seed=config.seed, jobs=jobs,
     )
-    results = {
-        "sample_size": report.sample_size,
-        "burn_in": report.burn_in,
-        "replicates": report.replicates,
-        "polynomial": {
-            str(r): {"estimate": _finite(m.estimate), "std_error": _finite(m.std_error)}
-            for r, m in report.polynomial.items()
-        },
-        "exponential": {
-            str(d): {
-                "log_estimate": _finite(m.log_estimate),
-                "std_error": _finite(m.std_error),
-                "top10_share": _finite(m.top10_share),
-                "saturated": m.saturated,
-            }
-            for d, m in report.exponential.items()
-        },
-    }
     lines = [f"moment estimates from {report.sample_size} pooled samples:"]
     for r, m in report.polynomial.items():
         lines.append(f"  E|Y|_1^{r:g} = {_text(m.estimate, '.6g')} (se {_text(m.std_error, '.3g')})")
@@ -207,7 +176,7 @@ def _run_moments(config: ExperimentConfig, out_dir: str, jobs: int):
         flag = "  [saturated]" if m.saturated else ""
         lines.append(f"  log E exp({d:g}|Y|_1) = {_text(m.log_estimate, '.6g')} "
                      f"(se {_text(m.std_error, '.3g')}){flag}")
-    return results, "\n".join(lines), []
+    return plain(report), "\n".join(lines), []
 
 
 # Every experiment kind but "check", which reports the condition check itself.

@@ -8,18 +8,20 @@ model and experiment mappings' keys are their field names, and problems come
 back with their path into the document.
 Validation collects every problem instead of stopping at the first, and
 ``to_dict`` emits the fully resolved config that reports embed, so any
-report is self-reproducing.
+report is self-reproducing.  :func:`plain` writes that config and every
+result record of a report in JSON types.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
 
 from .engine import CheckExperiment, CoupleExperiment, MomentsExperiment, SimulateExperiment
-from .errors import ConfigError, Problems
+from .errors import ConfigError, Problems, checked_int
 from .models import (
     WINDOW_KEYS,
     GinarSpec,
@@ -29,7 +31,6 @@ from .models import (
     from_mapping,
     validate_window,
 )
-from .randomness import checked_int
 
 MODEL_SPECS = {"ginar": GinarSpec, "ingarch": IngarchSpec, "loglinear": LogLinearSpec}
 EXPERIMENTS = {"check": CheckExperiment, "simulate": SimulateExperiment,
@@ -50,8 +51,8 @@ class ExperimentConfig:
         """Fully resolved, normalized form (defaults filled, plain types)."""
         return {
             "seed": self.seed,
-            "model": {"kind": self.model.kind, **_plain(self.model)},
-            "experiment": {"kind": self.experiment.kind, **_plain(self.experiment)},
+            "model": {"kind": self.model.kind, **plain(self.model)},
+            "experiment": {"kind": self.experiment.kind, **plain(self.experiment)},
             "output": {"directory": self.output_dir, "csv": self.write_csv},
         }
 
@@ -153,13 +154,22 @@ def _window(raw, model: ModelSpec | None, path: str, errs: Problems) -> dict | N
             for name in WINDOW_KEYS[model.kind]}
 
 
-def _plain(value):
-    """A spec or experiment as plain YAML types, keyed by field name; None fields are left out."""
+def plain(value):
+    """``value`` in JSON types: the one rule by which configs and results reach ``report.json``.
+
+    A dataclass becomes its fields by name, omitting a field still at its
+    default of None (a required field that is None is written null).  Dict
+    keys become strings, tuples and arrays lists, and non-finite floats None.
+    """
     if is_dataclass(value):
-        items = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {name: _plain(item) for name, item in items if item is not None}
+        return {f.name: plain(item) for f in fields(value)
+                if (item := getattr(value, f.name)) is not None or f.default is not None}
+    if isinstance(value, dict):
+        return {str(key): plain(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
+        return plain(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError, Problems
+from .errors import DivergenceError, Problems, checked_int
 from .models import (
     ModelSpec,
     block_state,
@@ -35,7 +35,7 @@ from .models import (
     validate_window,
     window_distance,
 )
-from .randomness import block_rng, checked_int
+from .randomness import block_rng
 
 DEFAULT_BURN_IN = 1000
 DEFAULT_REPLICATES = 32

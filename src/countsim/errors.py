@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the validation helpers that file problems."""
+
+from __future__ import annotations
+
+from numbers import Integral
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -33,6 +39,52 @@ class Problems:
     def raise_if_any(self) -> None:
         if self.items:
             raise ConfigError(self.items)
+
+
+def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str) -> np.ndarray | None:
+    """``value`` as a float array of ``shape`` obeying ``rule``, or None after filing a problem.
+
+    ``None`` in ``shape`` matches any length.  ``rule`` is ``"real"`` (finite
+    entries), ``"nonnegative"`` or ``"count"`` (nonnegative integers); a
+    broken rule is reported at its first offending entry.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        if len(shape) == 1:
+            what = "a vector of numbers" if shape[0] is None else f"a vector of {shape[0]} numbers"
+        else:
+            what = "a matrix of numbers" if shape[0] is None else f"a {shape[0]}x{shape[1]} matrix of numbers"
+        problems.add(path, f"expected {what}")
+        return None
+    if not np.isfinite(arr).all():
+        problems.add(path, "contains non-finite entries")
+        return None
+    if rule != "real" and flag_entry(arr, arr < 0, "negative entry {}", path, problems):
+        return None
+    if rule == "count" and flag_entry(arr, arr != np.floor(arr), "non-integer entry {}", path, problems):
+        return None
+    return arr
+
+
+def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, problems: Problems) -> bool:
+    """File ``message`` (formatted with the entry) at the first entry ``mask`` marks, if any."""
+    bad = np.argwhere(mask)
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        problems.add(path + "".join(f"[{i}]" for i in at), message.format(arr[at]))
+    return bool(bad.size)
+
+
+def checked_int(value, path: str, problems: Problems, minimum: int | None = None) -> bool:
+    """Whether ``value`` is an integer (booleans are not) of at least ``minimum``; files a problem if not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        problems.add(path, f"expected an integer{bound}, got {value!r}")
+        return False
+    return True
 
 
 class StationarityError(ValueError):

@@ -2,7 +2,7 @@
 
 Operator norms, spectral radii, companion matrices, the certified stability
 rule and the fixed-point mean solve used by the stability checkers.  Inputs
-may be nested lists; each passes :func:`randomness.checked_array`, so a
+may be nested lists; each passes :func:`errors.checked_array`, so a
 nonsquare, empty, non-finite or (where the function needs it) negative one
 raises :class:`ConfigError`, a ``ValueError``.  All functions are pure.
 
@@ -18,8 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import Problems, StationarityError
-from .randomness import checked_array
+from .errors import Problems, StationarityError, checked_array
 
 #: Supported operator-norm kinds.
 NORM_KINDS = ("l1", "l2", "linf")

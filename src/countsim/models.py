@@ -26,18 +26,22 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ConfigurationError, DivergenceError, Problems
-from .randomness import (  # noqa: F401  (make_stream: perfbench/tracer.py patches it here)
+from .errors import (
+    ConfigError,
+    ConfigurationError,
+    DivergenceError,
+    Problems,
+    checked_array,
+    checked_int,
+    flag_entry,
+)
+from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/tracer.py patches them here)
     COUNTING_FAMILIES,
     INTENSITY_LIMIT,
-    CountingCache,
     Dependence,
     Stream,
     _draw,
     check_intensities,
-    checked_array,
-    checked_int,
-    flag_entry,
     make_stream,
     shared_counts,
     shared_thinning,
@@ -314,19 +318,6 @@ def _lags(rows, name: str, spec: ModelSpec, problems: Problems) -> list | None:
         return None
     return [checked_array(row, (spec.p,), f"{name}[{j}]", problems, _SERIES_RULES[name])
             for j, row in enumerate(rows)]
-
-
-def ginar_step(spec: GinarSpec, window, t: int, cache: CountingCache, stream: Stream) -> np.ndarray:
-    """One GINAR transition: immigration plus thinning of each lag.
-
-    The conditional mean given the window is
-    ``sum_j mean_matrices[j] @ window[j] + immigration.mean()``.
-    """
-    total = spec.immigration.draw(stream)
-    for j in range(spec.q):
-        total = total + thinning(cache, (t, j + 1), spec.mean_matrices[j],
-                                 spec.counting_family, window[j], stream)
-    return total.astype(np.int64)
 
 
 def ingarch_intensity(spec: IngarchSpec, window: Mapping) -> np.ndarray:

@@ -38,11 +38,10 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import starmap
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, Problems
+from .errors import ConfigurationError, DivergenceError, Problems, checked_array
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,52 +50,6 @@ COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 
 #: Intensities above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
-
-
-def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str) -> np.ndarray | None:
-    """``value`` as a float array of ``shape`` obeying ``rule``, or None after filing a problem.
-
-    ``None`` in ``shape`` matches any length.  ``rule`` is ``"real"`` (finite
-    entries), ``"nonnegative"`` or ``"count"`` (nonnegative integers); a
-    broken rule is reported at its first offending entry.
-    """
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-        if len(shape) == 1:
-            what = "a vector of numbers" if shape[0] is None else f"a vector of {shape[0]} numbers"
-        else:
-            what = "a matrix of numbers" if shape[0] is None else f"a {shape[0]}x{shape[1]} matrix of numbers"
-        problems.add(path, f"expected {what}")
-        return None
-    if not np.isfinite(arr).all():
-        problems.add(path, "contains non-finite entries")
-        return None
-    if rule != "real" and flag_entry(arr, arr < 0, "negative entry {}", path, problems):
-        return None
-    if rule == "count" and flag_entry(arr, arr != np.floor(arr), "non-integer entry {}", path, problems):
-        return None
-    return arr
-
-
-def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, problems: Problems) -> bool:
-    """File ``message`` (formatted with the entry) at the first entry ``mask`` marks, if any."""
-    bad = np.argwhere(mask)
-    if bad.size:
-        at = tuple(int(i) for i in bad[0])
-        problems.add(path + "".join(f"[{i}]" for i in at), message.format(arr[at]))
-    return bool(bad.size)
-
-
-def checked_int(value, path: str, problems: Problems, minimum: int | None = None) -> bool:
-    """Whether ``value`` is an integer (booleans are not) of at least ``minimum``; files a problem if not."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        problems.add(path, f"expected an integer{bound}, got {value!r}")
-        return False
-    return True
 
 
 def _splitmix64(x: int) -> int:
@@ -123,7 +76,8 @@ class Stream:
     with different lineages are statistically independent.  The generator is
     built lazily on first use (derivation chains create many streams that
     never draw).  Instances own their generator state and must not be shared
-    between concurrent tasks.
+    between concurrent tasks.  Only the per-step primitives draw through
+    streams; :func:`block_rng` seeds from the same mixer directly.
     """
 
     __slots__ = ("lineage", "_rng")
@@ -149,7 +103,7 @@ def make_stream(master_seed: int, replicate_id: int, time_index: int) -> Stream:
 
 def block_rng(master_seed: int, block: int) -> np.random.Generator:
     """The persistent generator of one replicate block; pure in its arguments."""
-    return Stream((int(master_seed), int(block))).rng
+    return np.random.Generator(np.random.PCG64(_mix((master_seed, block))))
 
 
 #: Draws of at most this many entries loop the generator's scalar call.  An
@@ -242,7 +196,8 @@ def poisson_quantile(scores, lam) -> np.ndarray:
     window ends past ``lam + 4``.  An :class:`OverflowError` is raised when
     that needs more than ``lam + 40*sqrt(lam) + 250`` terms (more than any
     tail mass down to the smallest normal double needs) or when the leading
-    term underflows.  Empty input gives an empty result.
+    term underflows, and a :class:`ValueError` for a non-finite score or a
+    negative or NaN intensity.  Empty input gives an empty result.
     """
     z, lam = np.asarray(scores, dtype=float), np.asarray(lam, dtype=float)
     if z.shape != lam.shape:
@@ -253,15 +208,13 @@ def poisson_quantile(scores, lam) -> np.ndarray:
     n = lam.size
     if n == 0:
         return np.zeros(shape, dtype=np.int64)
-    if not lam.min() >= 0.0:
-        raise ValueError("scores must not be NaN; intensities must be nonnegative")
+    az = np.abs(z)
+    if not (lam.min() >= 0.0 and az.max() < math.inf):
+        raise ValueError("scores must be finite; intensities must be nonnegative")
     head = np.exp(-lam)
     if not head.min() > 0.0:
         raise OverflowError(f"intensity {lam.max()} too large for sequential inverse CDF")
-    az = np.abs(z)
     reach = float((lam + (az + 3.0) * np.sqrt(lam)).max())
-    if math.isnan(reach):  # lam is not NaN here, so a score is
-        raise ValueError("scores must not be NaN; intensities must be nonnegative")
     upper = z > 0.0
     tail = np.fromiter(map(math.erfc, (az * _SQRT_HALF).tolist()), float, n)
     tail *= 0.5

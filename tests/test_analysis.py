@@ -17,7 +17,7 @@ from countsim.analysis import (
     poisson_raw_moment,
     stirling2,
 )
-from countsim.config import parse_config_file
+from countsim.config import parse_config_file, plain
 from countsim.errors import StationarityError
 from countsim.models import GinarSpec, ImmigrationSpec, IngarchSpec, LogLinearSpec
 
@@ -165,8 +165,9 @@ def test_check_model_dispatch():
 
 def test_report_serializes_to_plain_types():
     report = check_ingarch(ingarch([[[0.1]]], [[[0.2]]]))
-    text = json.dumps(report.to_dict())
+    text = json.dumps(plain(report), allow_nan=False)
     assert "rho_sum_AB" in text
+    assert json.loads(text)["computed"]["l1_sum_norms"]["matrix"] is None  # a required field, written null
 
 
 # --- stirling numbers and poisson oracles -------------------------------------

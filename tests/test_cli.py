@@ -1,19 +1,23 @@
 import functools
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from countsim import cli
-from countsim.config import ConfigError, parse_config
+from countsim.config import ConfigError, parse_config, plain
 from countsim.randomness import Dependence
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MANIFEST = Path(__file__).resolve().parent / "data" / "determinism.json"
 
 MINIMAL_CHECK = """
 seed: 1
@@ -271,6 +275,13 @@ def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes, nu
     assert "n/a" in capsys.readouterr().out
 
 
+def test_plain_is_one_rule_for_every_record():
+    assert plain(Dependence()) == {"scheme": "independent"}  # left at its default of None: omitted
+    corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert plain(Dependence("gaussian", corr)) == {"scheme": "gaussian", "correlation": corr.tolist()}
+    assert plain((1, np.array([-math.inf, 2.5]))) == [1, [None, 2.5]]
+
+
 def test_every_shipped_config_runs_quickly(tmp_path):
     commands = {
         "check": "check", "simulate": "simulate",
@@ -285,6 +296,25 @@ def test_every_shipped_config_runs_quickly(tmp_path):
         elapsed = time.perf_counter() - start
         assert code == 0, path.name
         assert elapsed < 60.0, f"{path.name} took {elapsed:.1f}s"
+
+
+def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
+    # Every output file of every shipped config at --seed 7 --jobs 1, by
+    # SHA-256.  numpy does not promise the Generator stream across releases,
+    # so the manifest names the version it was made with.  A numpy upgrade,
+    # or a change that moves bits on purpose, regenerates it from the digests
+    # the failing assertion prints.
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert np.__version__ == manifest["numpy"], \
+        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    digests = {}
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        out = tmp_path / path.stem
+        command = parse_config(path.read_text(encoding="utf-8")).experiment.kind
+        assert cli.main([command, "--config", str(path), "--seed", "7", "--jobs", "1", "--out", str(out)]) == 0
+        for item in sorted(out.iterdir()):
+            digests[f"{path.stem}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
+    assert digests == manifest["digests"], "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
 
 
 def test_strict_exit_codes_via_subprocess(tmp_path):

@@ -13,14 +13,13 @@ from countsim.models import (
     LogLinearSpec,
     block_state,
     default_window,
-    ginar_step,
     ingarch_intensity,
     loglinear_mu,
     step,
     validate_window,
     window_distance,
 )
-from countsim.randomness import CountingCache, Dependence, block_rng, make_stream, shared_poisson
+from countsim.randomness import Dependence, block_rng, make_stream, shared_poisson
 
 
 def ginar_2d():
@@ -154,8 +153,6 @@ def test_window_mapping_becomes_the_companion_row(kind):
 
 def test_ginar_zero_window_zero_immigration_absorbs():
     spec = GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("constant", [0.0]))
-    out = ginar_step(spec, [np.zeros(1, dtype=np.int64)], 0, CountingCache(), make_stream(1, 0, 0))
-    assert np.array_equal(out, [0])
     counts, mean = one_step(spec, {"counts": [[0]]}, 64, 1)
     assert np.array_equal(counts, np.zeros((64, 1), dtype=np.int64))
     assert np.array_equal(mean, np.zeros((64, 1)))

@@ -427,6 +427,12 @@ def test_poisson_quantile_zero_intensity_and_guards():
         poisson_quantile([0.5], 1e6)  # leading term underflows
 
 
+@pytest.mark.parametrize("score, lam", [(math.inf, 1.0), (-math.inf, 1.0), (math.inf, 0.0), (math.nan, 1.0)])
+def test_poisson_quantile_refuses_non_finite_scores(score, lam):
+    with pytest.raises(ValueError, match="scores must be finite"):
+        poisson_quantile([0.5, score], lam)
+
+
 def test_poisson_quantile_empty_input():
     out = poisson_quantile([], [])
     assert out.shape == (0,) and out.dtype == np.int64
