@@ -89,7 +89,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
         print("strict mode: stationarity condition fails", file=sys.stderr)
         return 2
 
-    out_dir = config.output_dir if out_dir is None else out_dir
+    out_dir = config.output.directory if out_dir is None else out_dir
     exp = config.experiment
     if exp.kind == "check":
         results, summary, extra_files = plain(report), report.format_table(), []
@@ -130,7 +130,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: str, jobs: int):
         "max_count": int(path.counts.max()),
     }
     extra_files = []
-    if config.write_csv:
+    if config.output.csv:
         csv_path = os.path.join(out_dir, "path.csv")
         os.makedirs(out_dir, exist_ok=True)
         path.to_csv(csv_path)

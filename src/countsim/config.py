@@ -2,20 +2,20 @@
 
 One config file describes exactly one model and one experiment.  A master
 seed is mandatory; there is no wall-clock fallback, reproducibility is a
-feature.  This module maps the document onto the spec and experiment
-constructors, which own every model, window and run-parameter rule: the
-model and experiment mappings' keys are their field names, and problems come
-back with their path into the document.
-Validation collects every problem instead of stopping at the first, and
-``to_dict`` emits the fully resolved config that reports embed, so any
-report is self-reproducing.  :func:`plain` writes that config and every
-result record of a report in JSON types.
+feature.  Every section of the document becomes its record by one rule,
+:func:`~countsim.models.from_mapping`: its keys are the record's field
+names, a key that names no field is refused, and the record's constructor
+owns every other rule.  Problems come back together, each with its path into
+the document.  ``to_dict`` emits the fully resolved config that reports
+embed, so any report is self-reproducing.  :func:`plain` writes that config
+and every result record of a report in JSON types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -28,6 +28,7 @@ from .models import (
     IngarchSpec,
     LogLinearSpec,
     ModelSpec,
+    _nested,
     from_mapping,
     validate_window,
 )
@@ -40,12 +41,53 @@ Experiment = CheckExperiment | SimulateExperiment | CoupleExperiment | MomentsEx
 
 
 @dataclass(frozen=True)
+class Output:
+    """Where a run writes ``report.json``, and whether ``simulate`` also writes ``path.csv``."""
+
+    directory: str = "out"
+    csv: bool = True
+
+    def __post_init__(self):
+        problems = Problems()
+        if not isinstance(self.directory, str):
+            problems.add("directory", "expected a string path")
+        if not isinstance(self.csv, bool):
+            problems.add("csv", "expected a boolean")
+        problems.raise_if_any()
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One model and one experiment under a master seed.
+
+    ``model`` and ``experiment`` may be given as mappings of a ``kind`` and
+    the fields of the record it names (a model's ``q`` defaults to 1), and
+    ``output`` as a mapping of its fields.  A couple experiment's windows
+    given that way are checked against the model.
+    """
+
     model: ModelSpec
     experiment: Experiment
     seed: int
-    output_dir: str = "out"
-    write_csv: bool = True
+    output: Output = field(default_factory=Output)
+
+    def __post_init__(self):
+        problems = Problems()
+        if self.seed is None:
+            problems.add("seed", "seed required")
+        else:
+            checked_int(self.seed, "seed", problems)
+        model = _kinded(MODEL_SPECS, self.model, "model", problems, q=1)
+        experiment = self.experiment
+        if isinstance(experiment, Mapping) and experiment.get("kind") == "couple":
+            experiment = {**experiment, **{name: _window(experiment.get(name), model, f"experiment.{name}", problems)
+                                           for name in ("window_a", "window_b")}}
+        experiment = _kinded(EXPERIMENTS, experiment, "experiment", problems)
+        output = _nested(Output, self.output, "output", problems)
+        problems.raise_if_any()
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "experiment", experiment)
+        object.__setattr__(self, "output", output)
 
     def to_dict(self) -> dict:
         """Fully resolved, normalized form (defaults filled, plain types)."""
@@ -53,7 +95,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "model": {"kind": self.model.kind, **plain(self.model)},
             "experiment": {"kind": self.experiment.kind, **plain(self.experiment)},
-            "output": {"directory": self.output_dir, "csv": self.write_csv},
+            "output": plain(self.output),
         }
 
 
@@ -67,7 +109,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"parse error{where}: {getattr(exc, 'problem', exc)}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["document: expected a mapping at the top level"])
-    return _validate(raw)
+    return from_mapping(ExperimentConfig, raw)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -75,79 +117,26 @@ def parse_config_file(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _validate(raw: dict) -> ExperimentConfig:
-    errs = Problems()
-
-    known = {"seed", "model", "experiment", "output"}
-    for key in raw:
-        if key not in known:
-            errs.add(str(key), "unknown top-level key")
-
-    seed = raw.get("seed")
-    if seed is None:
-        errs.add("seed", "seed required")
-    else:
-        checked_int(seed, "seed", errs)
-
-    model_raw = raw.get("model")
-    model = None
-    if not isinstance(model_raw, dict):
-        errs.add("model", "a model mapping is required")
-    else:
-        model = _model(model_raw, errs)
-
-    exp_raw = raw.get("experiment")
-    experiment = None
-    if not isinstance(exp_raw, dict):
-        errs.add("experiment", "an experiment mapping is required")
-    else:
-        experiment = _experiment(exp_raw, model, errs)
-
-    out_raw = raw.get("output", {})
-    output_dir = "out"
-    write_csv = True
-    if out_raw is None:
-        out_raw = {}
-    if not isinstance(out_raw, dict):
-        errs.add("output", "expected a mapping")
-    else:
-        output_dir = out_raw.get("directory", "out")
-        if not isinstance(output_dir, str):
-            errs.add("output.directory", "expected a string path")
-            output_dir = "out"
-        write_csv = out_raw.get("csv", True)
-        if not isinstance(write_csv, bool):
-            errs.add("output.csv", "expected a boolean")
-            write_csv = True
-
-    errs.raise_if_any()
-    return ExperimentConfig(model, experiment, seed, output_dir, write_csv)
-
-
-def _model(raw: dict, errs: Problems) -> ModelSpec | None:
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in MODEL_SPECS:
-        errs.add("model.kind", f"expected one of {'/'.join(MODEL_SPECS)}, got {kind!r}")
+def _kinded(kinds: dict, value, path: str, problems: Problems, **defaults):
+    """``value`` as a record of ``kinds``: an instance, or a mapping of its ``kind`` and fields."""
+    if isinstance(value, tuple(kinds.values())):
+        return value
+    if not isinstance(value, Mapping):
+        problems.add(path, f"expected a mapping of a kind ({'/'.join(kinds)}) and its fields")
         return None
-    return errs.nest("model", lambda: from_mapping(MODEL_SPECS[kind], {"q": 1, **raw}))
-
-
-def _experiment(raw: dict, model: ModelSpec | None, errs: Problems):
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in EXPERIMENTS:
-        errs.add("experiment.kind", f"expected one of {'/'.join(EXPERIMENTS)}, got {kind!r}")
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        problems.add(f"{path}.kind", f"expected one of {'/'.join(kinds)}, got {kind!r}")
         return None
-    if kind == "couple":
-        raw = {**raw, **{name: _window(raw.get(name), model, f"experiment.{name}", errs)
-                         for name in ("window_a", "window_b")}}
-    return errs.nest("experiment", lambda: from_mapping(EXPERIMENTS[kind], raw))
+    entries = {key: item for key, item in value.items() if key != "kind"}
+    return problems.nest(path, lambda: from_mapping(kinds[kind], {**defaults, **entries}))
 
 
-def _window(raw, model: ModelSpec | None, path: str, errs: Problems) -> dict | None:
+def _window(raw, model: ModelSpec | None, path: str, problems: Problems) -> dict | None:
     """A window mapping, checked against the model and written in plain types."""
     if model is None:
         return None
-    if errs.nest(path, lambda: validate_window(model, raw)) is None:
+    if problems.nest(path, lambda: validate_window(model, raw)) is None:
         return None
     return {name: [[int(v) if name == "counts" else float(v) for v in np.asarray(row, dtype=float)]
                    for row in raw[name]]

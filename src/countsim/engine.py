@@ -213,9 +213,9 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
 def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str, tuple[int, int]]:
     """Least squares on log distance over the last three quarters of the run.
 
-    Exact zeros (integer chains can coalesce) terminate the fit window; if
-    the tail window holds fewer than two positive distances the fit falls
-    back to every positive distance before coalescence.
+    The first exact zero (integer chains can coalesce) ends the fit window
+    ``[start, end)``; every distance before it is positive.  The window
+    starts at ``n // 4``, or at 0 when that leaves fewer than two distances.
     """
     n = len(distances)
     series = [initial] + distances  # index = iterations applied
@@ -223,15 +223,11 @@ def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str
         return "degenerate-equal", (0, 0)
     zeros = [i for i, d in enumerate(series) if d == 0.0]
     end = zeros[0] if zeros else len(series)
-    start = n // 4
-    points = [(i, np.log(series[i])) for i in range(start, end) if series[i] > 0.0]
-    if len(points) < 2:
-        start = 0
-        points = [(i, np.log(series[i])) for i in range(end) if series[i] > 0.0]
-    if len(points) < 2:
+    start = n // 4 if end - n // 4 >= 2 else 0
+    if end - start < 2:
         return "coalesced", (0, end)
-    xs = np.array([float(i) for i, _ in points])
-    ys = np.array([v for _, v in points])
+    xs = np.arange(start, end, dtype=float)
+    ys = np.array([np.log(series[i]) for i in range(start, end)])
     slope = float(np.polyfit(xs, ys, 1)[0])
     rate = float(np.exp(slope))
     if rate > 1.0:
@@ -274,7 +270,7 @@ def _coupling(spec: ModelSpec, n: int, window_a, window_b, master_seed: int,
     rows = [validate_window(spec, window_a), validate_window(spec, window_b)]
     initial = float(window_distance(block_state(rows))[0])
     tasks = [(_couple_block, spec, (n, *rows), size, master_seed, b) for b, size in blocks]
-    stacked = np.concatenate(_map_blocks(_block_task, tasks, jobs))
+    stacked = np.concatenate(_map_blocks(tasks, jobs))
     mean_distances = stacked.mean(axis=0)
     rate, fit_window = _fit_decay_rate(initial, [float(v) for v in mean_distances])
     return CouplingEnsemble(
@@ -450,7 +446,7 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     """
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
     tasks = [(_moment_block, spec, (exp,), size, master_seed, b) for b, size in _blocks(replicates)]
-    blocks = _map_blocks(_block_task, tasks, jobs)
+    blocks = _map_blocks(tasks, jobs)
     total = replicates * T
     by_replicate = replicates > 1  # else the units are the batches of the one path
     counts = np.full(replicates, float(T)) if by_replicate else _batch_lengths(T).astype(float)
@@ -481,8 +477,8 @@ def _block_task(args):
     return fn(spec, *params, size, block_rng(master_seed, block))
 
 
-def _map_blocks(fn, tasks, jobs: int) -> list:
-    """Results of the block tasks in block order.
+def _map_blocks(tasks, jobs: int) -> list:
+    """Results of the block tasks (see :func:`_block_task`) in block order.
 
     With ``jobs > 1`` the blocks run in worker processes, even a single
     block: the calling process then never loads ``numpy.random`` or holds a
@@ -490,8 +486,8 @@ def _map_blocks(fn, tasks, jobs: int) -> list:
     smaller than one process doing everything, at about the same wall time.
     """
     if jobs <= 1:
-        return [fn(task) for task in tasks]
+        return [_block_task(task) for task in tasks]
     import multiprocessing
 
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+        return pool.map(_block_task, tasks)

@@ -28,6 +28,12 @@ class Problems:
     def add(self, path: str, message: str) -> None:
         self.items.append(f"{path}: {message}")
 
+    def unknown(self, mapping, names) -> None:
+        """File each key of ``mapping`` that is not in ``names`` as an unknown key."""
+        for key in mapping:
+            if key not in names:
+                self.add(str(key), "unknown key")
+
     def nest(self, prefix: str, build):
         """``build()``, or None with its problems filed under ``prefix``."""
         try:

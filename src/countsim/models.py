@@ -69,18 +69,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def from_mapping(cls, mapping: Mapping):
-    """A spec or experiment record built from the mapping's entries named like its fields.
+    """The record ``cls`` built from a mapping of its fields: the one rule for every config section.
 
     A missing field without a default is passed as None, so the record's own
-    check reports it; other keys are ignored.
+    check reports it.  A key that names no field is filed as ``key: unknown
+    key``, in the same :class:`ConfigError` as the record's own problems.
     """
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in mapping:
-            kwargs[f.name] = mapping[f.name]
-        elif f.default is MISSING and f.default_factory is MISSING:
-            kwargs[f.name] = None
-    return cls(**kwargs)
+    problems = Problems()
+    problems.unknown(mapping, [f.name for f in fields(cls)])
+    kwargs = {f.name: mapping.get(f.name) for f in fields(cls)
+              if f.name in mapping or (f.default is MISSING and f.default_factory is MISSING)}
+    try:
+        record = cls(**kwargs)
+    except ConfigError as exc:
+        problems.items += exc.problems
+    problems.raise_if_any()
+    return record
 
 
 def _nested(cls, value, path: str, problems: Problems):
@@ -89,7 +93,7 @@ def _nested(cls, value, path: str, problems: Problems):
         return value
     if value is None or isinstance(value, Mapping):
         return problems.nest(path, lambda: from_mapping(cls, value or {}))
-    problems.add(path, f"expected a {cls.__name__} or a mapping of its fields")
+    problems.add(path, f"expected a mapping of the fields of {cls.__name__}")
     return None
 
 
@@ -293,16 +297,17 @@ def validate_window(spec: ModelSpec, window) -> np.ndarray:
 
     A window is a mapping of ``q`` vectors of length ``p``, most recent lag
     first, under each key of ``WINDOW_KEYS[spec.kind]``: ``counts`` for every
-    family, plus ``intensities`` (linear) or ``mus`` (log-linear).  Counts must
-    be nonnegative integers; problems are named by key and lag, e.g.
-    ``counts[0]``.  The row is the ``q`` counts as int64 (GINAR), the ``q``
-    lambdas followed by the ``q`` counts (linear), or the ``q`` mus followed by
-    the ``q`` values of ``log(1 + counts)`` (log-linear).
+    family, plus ``intensities`` (linear) or ``mus`` (log-linear); any other
+    key is refused.  Counts must be nonnegative integers; problems are named
+    by key and lag, e.g. ``counts[0]``.  The row is the ``q`` counts as int64
+    (GINAR), the ``q`` lambdas followed by the ``q`` counts (linear), or the
+    ``q`` mus followed by the ``q`` values of ``log(1 + counts)`` (log-linear).
     """
     names = WINDOW_KEYS[spec.kind]
     if not isinstance(window, Mapping):
         raise ConfigError([f"window: expected a mapping with keys {', '.join(names)}"])
     problems = Problems()
+    problems.unknown(window, names)
     series = [_lags(window.get(name), name, spec, problems) for name in names]
     problems.raise_if_any()
     counts, *lead = [np.concatenate(rows) for rows in series]

@@ -14,6 +14,7 @@ import yaml
 
 from countsim import cli
 from countsim.config import ConfigError, parse_config, plain
+from countsim.models import IngarchSpec
 from countsim.randomness import Dependence
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -47,8 +48,8 @@ def test_minimal_config_fills_defaults():
     config = parse_config(MINIMAL_CHECK)
     assert config.seed == 1
     assert config.model.dependence == Dependence("independent")
-    assert config.output_dir == "out"
-    assert config.write_csv is True
+    assert config.output.directory == "out"
+    assert config.output.csv is True
 
 
 def test_simulate_default_burn_in():
@@ -129,6 +130,47 @@ experiment:
     problems = err.value.problems
     assert any(p.startswith("model.immigration.values") for p in problems)
     assert any(p.startswith("model.mean_matrices[0][0][1]") for p in problems)
+
+
+def _parses_with(config: str, path: str, value):
+    """Parsing a shipped config with ``value`` put at the dotted ``path`` and a boolean seed."""
+    raw = yaml.safe_load((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    *sections, key = path.split(".")
+    target = raw
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    raw["seed"] = True
+    return lambda: parse_config(yaml.safe_dump(raw))
+
+
+BOOLEAN_SEED = "seed: expected an integer, got True"
+
+
+@pytest.mark.parametrize("build, problems", [
+    pytest.param(_parses_with("ingarch_couple.yaml", "sed", 1),
+                 ["sed: unknown key", BOOLEAN_SEED], id="document"),
+    pytest.param(_parses_with("ingarch_couple.yaml", "model.dependance", {"scheme": "gaussian"}),
+                 [BOOLEAN_SEED, "model.dependance: unknown key"], id="model"),
+    pytest.param(_parses_with("ginar_couple.yaml", "model.immigration.extra", 3),
+                 [BOOLEAN_SEED, "model.immigration.extra: unknown key"], id="immigration"),
+    pytest.param(_parses_with("ingarch_couple.yaml", "model.dependence.corr", 1),
+                 [BOOLEAN_SEED, "model.dependence.corr: unknown key"], id="dependence"),
+    pytest.param(_parses_with("ingarch_simulate.yaml", "experiment.burnin", 5),
+                 [BOOLEAN_SEED, "experiment.burnin: unknown key"], id="experiment"),
+    pytest.param(_parses_with("ingarch_couple.yaml", "experiment.window_b.intensitys", [[8.0, 8.0]]),
+                 [BOOLEAN_SEED, "experiment.window_b.intensitys: unknown key"], id="window"),
+    pytest.param(_parses_with("ingarch_simulate.yaml", "output.csvv", False),
+                 [BOOLEAN_SEED, "output.csvv: unknown key"], id="output"),
+    pytest.param(lambda: IngarchSpec(1, 1, [1.0, 2.0], ([[0.3]],), ([[0.5]],),
+                                     {"scheme": "independent", "corr": 1}),
+                 ["intensity_offset: expected a vector of 1 numbers", "dependence.corr: unknown key"], id="api"),
+])
+def test_a_key_that_names_no_field_is_refused_by_its_path(build, problems):
+    # Each unknown key comes in the same pass as another problem.
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.problems == problems
 
 
 @pytest.mark.parametrize("path, value", [
