@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .errors import Problems, checked_array, checked_int
 from .models import GinarSpec, IngarchSpec, LogLinearSpec, ModelSpec
 
 HOLDS = "holds"
@@ -206,8 +207,12 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), exactly.
 
     Computed by the recurrence ``S(n, k) = k S(n-1, k) + S(n-1, k-1)``;
-    restricted to ``1 <= n <= 30`` to stay in the exact integer range.
+    restricted to integers ``1 <= n <= 30`` to stay in the exact integer range.
     """
+    problems = Problems()
+    checked_int(n, "n", problems)
+    checked_int(k, "k", problems)
+    problems.raise_if_any()
     if not 1 <= n <= _STIRLING_MAX:
         raise ValueError(f"n must lie in [1, {_STIRLING_MAX}], got {n}")
     if not 0 <= k <= n:
@@ -223,17 +228,19 @@ def stirling2(n: int, k: int) -> int:
 
 def poisson_raw_moment(lam: float, r: int) -> float:
     """r-th raw moment of Poisson(lam): sum over i of lam^i S(r, i)."""
-    if lam < 0:
-        raise ValueError("intensity must be nonnegative")
+    problems = Problems()
+    lam = checked_array(lam, (), "lam", problems, "nonnegative")
+    checked_int(r, "r", problems)
+    problems.raise_if_any()
     if not 1 <= r <= _STIRLING_MAX:
         raise ValueError(f"moment order must lie in [1, {_STIRLING_MAX}], got {r}")
-    return float(sum(lam**i * stirling2(r, i) for i in range(1, r + 1)))
+    return float(sum(float(lam)**i * stirling2(r, i) for i in range(1, r + 1)))
 
 
 def poisson_mgf(lam: float, delta: float) -> float:
     """log E exp(delta X) for X ~ Poisson(lam), i.e. lam (e^delta - 1)."""
-    if lam < 0:
-        raise ValueError("intensity must be nonnegative")
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-    return float(lam * (math.exp(delta) - 1.0))
+    problems = Problems()
+    lam = checked_array(lam, (), "lam", problems, "nonnegative")
+    delta = checked_array(delta, (), "delta", problems, "real")
+    problems.raise_if_any()
+    return float(lam) * (math.exp(delta) - 1.0)

@@ -99,7 +99,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     document = {
-        "config": config.to_dict(),
+        "config": plain(config),
         "lineage": {
             "master_seed": config.seed,
             "replicates": getattr(exp, "replicates", 1),

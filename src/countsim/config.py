@@ -5,10 +5,13 @@ seed is mandatory; there is no wall-clock fallback, reproducibility is a
 feature.  Every section of the document becomes its record by one rule,
 :func:`~countsim.models.from_mapping`: its keys are the record's field
 names, a key that names no field is refused, and the record's constructor
-owns every other rule.  Problems come back together, each with its path into
-the document.  ``to_dict`` emits the fully resolved config that reports
-embed, so any report is self-reproducing.  :func:`plain` writes that config
-and every result record of a report in JSON types.
+owns every other rule.  One rule decides a number, too: every vector and
+matrix entry passes :func:`~countsim.errors.checked_array` and every integer
+field :func:`~countsim.errors.checked_int`, so a boolean or a string is
+refused wherever a number is expected.  Problems come back together, each
+with its path into the document.  :func:`plain` writes the fully resolved
+config that reports embed, so any report is self-reproducing, and every
+result record of a report, in JSON types.
 """
 
 from __future__ import annotations
@@ -89,15 +92,6 @@ class ExperimentConfig:
         object.__setattr__(self, "experiment", experiment)
         object.__setattr__(self, "output", output)
 
-    def to_dict(self) -> dict:
-        """Fully resolved, normalized form (defaults filled, plain types)."""
-        return {
-            "seed": self.seed,
-            "model": {"kind": self.model.kind, **plain(self.model)},
-            "experiment": {"kind": self.experiment.kind, **plain(self.experiment)},
-            "output": plain(self.output),
-        }
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a YAML/JSON experiment document."""
@@ -147,12 +141,15 @@ def plain(value):
     """``value`` in JSON types: the one rule by which configs and results reach ``report.json``.
 
     A dataclass becomes its fields by name, omitting a field still at its
-    default of None (a required field that is None is written null).  Dict
-    keys become strings, tuples and arrays lists, and non-finite floats None.
+    default of None (a required field that is None is written null), and a
+    record with a class-level ``kind`` (a model spec or an experiment) leads
+    with it.  Dict keys become strings, tuples and arrays lists, and
+    non-finite floats None.
     """
     if is_dataclass(value):
-        return {f.name: plain(item) for f in fields(value)
-                if (item := getattr(value, f.name)) is not None or f.default is not None}
+        record = {f.name: plain(item) for f in fields(value)
+                  if (item := getattr(value, f.name)) is not None or f.default is not None}
+        return {"kind": value.kind, **record} if hasattr(value, "kind") else record
     if isinstance(value, dict):
         return {str(key): plain(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError, Problems, checked_int
+from .errors import DivergenceError, Problems, checked_array, checked_int
 from .models import (
     ModelSpec,
     block_state,
@@ -66,23 +65,6 @@ def _lockstep(spec: ModelSpec, state, steps: int, rng: np.random.Generator):
             exc.time_index = t
             raise
         yield t, state, counts, intensity
-
-
-def _numbers(values, path: str, bound: str, holds, problems: Problems) -> tuple[float, ...] | None:
-    """``values`` as a tuple of floats, or None after filing a problem.
-
-    ``values`` must be a nonempty sequence of finite real numbers (booleans
-    are not) for each of which ``holds`` is true; ``bound`` says so in words.
-    """
-    try:
-        items = list(values)
-    except TypeError:
-        items = []
-    if not items or not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) and holds(v)
-                            for v in items):
-        problems.add(path, f"expected a nonempty list of finite numbers {bound}")
-        return None
-    return tuple(float(v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -145,14 +127,18 @@ class MomentsExperiment:
 
     def __post_init__(self):
         problems = Problems()
-        r_values = _numbers(self.r_values, "r_values", ">= 1", lambda r: r >= 1, problems)
-        delta_values = _numbers(self.delta_values, "delta_values", "> 0", lambda d: d > 0, problems)
+        values = {}
+        for name, bound, holds in (("r_values", ">= 1", lambda v: v >= 1), ("delta_values", "> 0", lambda v: v > 0)):
+            arr = checked_array(getattr(self, name), (None,), name, problems, "real")
+            if arr is not None and not (arr.size and holds(arr).all()):
+                problems.add(name, f"expected a nonempty list of finite numbers {bound}")
+            values[name] = None if arr is None else tuple(arr.tolist())
         checked_int(self.T, "T", problems, 1)
         checked_int(self.burn_in, "burn_in", problems, 0)
         checked_int(self.replicates, "replicates", problems, 1)
         problems.raise_if_any()
-        object.__setattr__(self, "r_values", r_values)
-        object.__setattr__(self, "delta_values", delta_values)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -381,8 +367,9 @@ class _MomentFold:
     Each replicate's path of ``T`` sizes is cut into the batches of
     :func:`_batch_lengths`; sizes go into a buffer one batch long, and a full
     batch is folded into its cell: the sum of ``s ** r`` and the log-sum-exp
-    of ``delta * s``.  The ten largest ``delta * s`` of every replicate are
-    kept as well, so memory is O(replicates * sqrt(T)).
+    of ``delta * s``.  The ten largest ``s`` of every replicate are kept as
+    well (``delta > 0`` times them are the ten largest ``delta * s``, bit for
+    bit), so memory is O(replicates * sqrt(T)).
     """
 
     def __init__(self, replicates: int, T: int, r_values, delta_values):
@@ -391,7 +378,7 @@ class _MomentFold:
         self.buffer = np.empty((replicates, self.lengths.max()))
         self.sums = {r: np.empty((replicates, len(self.lengths))) for r in r_values}
         self.lse = {d: np.empty((replicates, len(self.lengths))) for d in delta_values}
-        self.top = {d: np.empty((replicates, 0)) for d in delta_values}
+        self.top = np.empty((replicates, 0))
 
     def push(self, sizes: np.ndarray) -> None:
         """Append one step's l1 sizes, one per replicate."""
@@ -404,9 +391,8 @@ class _MomentFold:
             for r in self.sums:
                 self.sums[r][:, self.batch] = np.sum(batch**r, axis=1)
         for d in self.lse:
-            scaled = d * batch
-            self.lse[d][:, self.batch] = _logsumexp(scaled, axis=1)
-            self.top[d] = np.sort(np.concatenate((self.top[d], scaled), axis=1), axis=1)[:, -10:]
+            self.lse[d][:, self.batch] = _logsumexp(d * batch, axis=1)
+        self.top = np.sort(np.concatenate((self.top, batch), axis=1), axis=1)[:, -10:]
         self.batch, self.fill = self.batch + 1, 0
 
 
@@ -459,12 +445,13 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
             log_means = np.log((sums / T).sum(axis=1) if by_replicate else sums[0] / counts)
         polynomial[r] = PolynomialMoment(estimate, estimate * _relative_se(log_means))
 
+    top10_sizes = np.sort(np.concatenate([block[2] for block in blocks], axis=None))[-10:]
     exponential = {}
     for delta in exp.delta_values:
         lses = np.concatenate([block[1][delta] for block in blocks])
         total_lse = _logsumexp(lses)
         se = _relative_se((_logsumexp(lses, axis=1) if by_replicate else lses[0]) - np.log(counts))
-        top10_all = np.sort(np.concatenate([block[2][delta] for block in blocks], axis=None))[-10:]
+        top10_all = delta * top10_sizes
         top10_share = float(np.exp(_logsumexp(top10_all) - total_lse))
         exponential[delta] = ExponentialMoment(float(total_lse - np.log(total)), se, top10_share, top10_share > 0.5)
 

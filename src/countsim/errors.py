@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,18 +48,29 @@ class Problems:
 
 
 def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str) -> np.ndarray | None:
-    """``value`` as a float array of ``shape`` obeying ``rule``, or None after filing a problem.
+    """``value`` as a new float array of ``shape`` obeying ``rule``, or None after filing a problem.
 
-    ``None`` in ``shape`` matches any length.  ``rule`` is ``"real"`` (finite
-    entries), ``"nonnegative"`` or ``"count"`` (nonnegative integers); a
-    broken rule is reported at its first offending entry.
+    The one rule for a number: every entry is a real number, and booleans and
+    strings are not, as for :func:`checked_int`; an integer no float holds is
+    refused too.  An integer or float array needs no look at its entries;
+    anything else, nested lists included, is looked at entry by entry.
+    ``None`` in ``shape`` matches any length, and ``()`` asks for one number.
+    ``rule`` is ``"real"`` (finite entries), ``"nonnegative"`` or ``"count"``
+    (nonnegative integers); a broken rule is reported at its first offending
+    entry.
     """
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+    entries = value if numeric else np.asarray(value, dtype=object)
+    arr = None
+    if numeric or all(isinstance(v, Real) and not isinstance(v, bool) for v in entries.flat):
+        try:
+            arr = np.array(entries, dtype=float)
+        except OverflowError:  # an integer no float holds
+            pass
     if arr is None or arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-        if len(shape) == 1:
+        if not shape:
+            what = "a number"
+        elif len(shape) == 1:
             what = "a vector of numbers" if shape[0] is None else f"a vector of {shape[0]} numbers"
         else:
             what = "a matrix of numbers" if shape[0] is None else f"a {shape[0]}x{shape[1]} matrix of numbers"
@@ -77,11 +88,11 @@ def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str)
 
 def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, problems: Problems) -> bool:
     """File ``message`` (formatted with the entry) at the first entry ``mask`` marks, if any."""
-    bad = np.argwhere(mask)
-    if bad.size:
+    bad = np.argwhere(mask)  # one row per marked entry, a 0-d one included
+    if len(bad):
         at = tuple(int(i) for i in bad[0])
         problems.add(path + "".join(f"[{i}]" for i in at), message.format(arr[at]))
-    return bool(bad.size)
+    return bool(len(bad))
 
 
 def checked_int(value, path: str, problems: Problems, minimum: int | None = None) -> bool:

@@ -3,8 +3,9 @@
 Operator norms, spectral radii, companion matrices, the certified stability
 rule and the fixed-point mean solve used by the stability checkers.  Inputs
 may be nested lists; each passes :func:`errors.checked_array`, so a
-nonsquare, empty, non-finite or (where the function needs it) negative one
-raises :class:`ConfigError`, a ``ValueError``.  All functions are pure.
+nonsquare, empty, non-finite or (where the function needs it) negative one,
+or one with a boolean or string entry, raises :class:`ConfigError`, a
+``ValueError``.  All functions are pure.
 
 One rule decides ``rho < 1``: it holds only when the certified bracket of
 :func:`certified_radius` lies below 1, and a bracket that contains 1 is a
@@ -70,6 +71,7 @@ def spectral_radius(m) -> float:
 
 def strong_components(m) -> list[list[int]]:
     """Index sets of the strongly connected components of ``i -> j`` where ``m[i, j] != 0``."""
+    m = _matrix(m)
     n = m.shape[0]
     reach = (m != 0) | np.eye(n, dtype=bool)
     for k in range(n):  # Warshall's transitive closure
@@ -152,7 +154,7 @@ def companion(blocks: Sequence) -> np.ndarray:
     problems.raise_if_any()
     q, e = len(mats), mats[0].shape[0]
     if q == 1:
-        return mats[0].copy()
+        return mats[0]
     f = np.zeros((q * e, q * e))
     for j, b in enumerate(mats):
         f[:e, j * e : (j + 1) * e] = b

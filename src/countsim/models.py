@@ -102,25 +102,21 @@ def _dimensions(spec, problems: Problems) -> bool:
     return all([checked_int(spec.p, "p", problems, 1), checked_int(spec.q, "q", problems, 1)])
 
 
-def _per_lag(value, spec, path: str, expected: str, problems: Problems) -> list | None:
-    """``value`` as a list of ``q`` items, or None after filing a problem."""
+def _per_lag(value, spec, path: str, shape: tuple, rule: str, problems: Problems) -> tuple | None:
+    """``value`` as ``q`` frozen arrays of ``shape`` obeying ``rule``, most recent lag first, or None.
+
+    A problem is filed at ``path`` for the list, or at ``path[j]`` for lag ``j``.
+    """
     try:
         items = list(value)
     except TypeError:
         items = None
     if items is None or len(items) != spec.q:
-        problems.add(path, f"expected {expected}")
+        what = f"a list of {spec.q} matrices" if len(shape) == 2 else f"{spec.q} vectors (most recent lag first)"
+        problems.add(path, f"expected {what}")
         return None
-    return items
-
-
-def _matrices(spec, name: str, rule: str, problems: Problems) -> tuple[np.ndarray, ...] | None:
-    """Field ``name`` as ``q`` frozen ``p x p`` matrices obeying ``rule``."""
-    items = _per_lag(getattr(spec, name), spec, name, f"a list of {spec.q} matrices", problems)
-    if items is None:
-        return None
-    mats = [checked_array(m, (spec.p, spec.p), f"{name}[{i}]", problems, rule) for i, m in enumerate(items)]
-    return None if any(m is None for m in mats) else tuple(_freeze(m) for m in mats)
+    arrays = [checked_array(item, shape, f"{path}[{j}]", problems, rule) for j, item in enumerate(items)]
+    return None if any(a is None for a in arrays) else tuple(map(_freeze, arrays))
 
 
 def _companion_map(spec) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +147,7 @@ def _intensity_fields(spec, offset: str, matrices: tuple[str, str], rule: str) -
         d = checked_array(getattr(spec, offset), (spec.p,), offset, problems, rule)
         values[offset] = None if d is None else _freeze(d)
         for name in matrices:
-            values[name] = _matrices(spec, name, rule, problems)
+            values[name] = _per_lag(getattr(spec, name), spec, name, (spec.p, spec.p), rule, problems)
     dep = values["dependence"] = _nested(Dependence, spec.dependence, "dependence", problems)
     if ok and dep is not None and dep.correlation is not None and dep.correlation.shape != (spec.p, spec.p):
         problems.add("dependence.correlation", f"expected a {spec.p}x{spec.p} matrix")
@@ -215,7 +211,8 @@ class GinarSpec:
     def __post_init__(self):
         problems = Problems()
         ok = _dimensions(self, problems)
-        mats = _matrices(self, "mean_matrices", "nonnegative", problems) if ok else None
+        mats = _per_lag(self.mean_matrices, self, "mean_matrices", (self.p, self.p), "nonnegative",
+                        problems) if ok else None
         if self.counting_family not in COUNTING_FAMILIES:
             problems.add("counting_family", f"expected one of {COUNTING_FAMILIES}, got {self.counting_family!r}")
         elif mats is not None and self.counting_family == "bernoulli":
@@ -308,21 +305,13 @@ def validate_window(spec: ModelSpec, window) -> np.ndarray:
         raise ConfigError([f"window: expected a mapping with keys {', '.join(names)}"])
     problems = Problems()
     problems.unknown(window, names)
-    series = [_lags(window.get(name), name, spec, problems) for name in names]
+    series = [_per_lag(window.get(name), spec, name, (spec.p,), _SERIES_RULES[name], problems)
+              for name in names]
     problems.raise_if_any()
     counts, *lead = [np.concatenate(rows) for rows in series]
     if isinstance(spec, GinarSpec):
         return counts.astype(np.int64)
     return np.concatenate(lead + [np.log1p(counts) if isinstance(spec, LogLinearSpec) else counts])
-
-
-def _lags(rows, name: str, spec: ModelSpec, problems: Problems) -> list | None:
-    """``q`` vectors of length ``p`` obeying the series' rule."""
-    rows = _per_lag(rows, spec, name, f"{spec.q} vectors (most recent lag first)", problems)
-    if rows is None:
-        return None
-    return [checked_array(row, (spec.p,), f"{name}[{j}]", problems, _SERIES_RULES[name])
-            for j, row in enumerate(rows)]
 
 
 def ingarch_intensity(spec: IngarchSpec, window: Mapping) -> np.ndarray:

@@ -406,8 +406,9 @@ class Dependence:
 
     ``scheme`` is one of ``independent`` (independent coordinates),
     ``comonotone`` (all coordinates driven by one shared normal score) or
-    ``gaussian`` (a Gaussian copula with the given correlation matrix).
-    Marginals are Poisson under every scheme; only the joint changes.
+    ``gaussian`` (a Gaussian copula with the given correlation matrix, whose
+    entries pass :func:`errors.checked_array`, so a boolean or a string is
+    refused).  Marginals are Poisson under every scheme; only the joint changes.
     """
 
     scheme: str = "independent"

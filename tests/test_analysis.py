@@ -206,6 +206,23 @@ def test_stirling_domain_errors():
         stirling2(5, 6)
     with pytest.raises(ValueError):
         stirling2(5, -1)
+    for n, k in ((3.0, 1), (3, 1.0), (True, True)):  # orders are integers, and booleans are not
+        with pytest.raises(ValueError):
+            stirling2(n, k)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: poisson_raw_moment(1.0, 2.0), id="raw-float-order"),
+    pytest.param(lambda: poisson_raw_moment(1.0, True), id="raw-boolean-order"),
+    pytest.param(lambda: poisson_raw_moment(math.inf, 2), id="raw-infinite-intensity"),
+    pytest.param(lambda: poisson_mgf(math.nan, 0.1), id="mgf-nan-intensity"),
+    pytest.param(lambda: poisson_mgf(True, 0.1), id="mgf-boolean-intensity"),
+    pytest.param(lambda: poisson_mgf("1", 0.1), id="mgf-string-intensity"),
+    pytest.param(lambda: poisson_mgf(1.0, True), id="mgf-boolean-delta"),
+])
+def test_poisson_oracle_domain_errors(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_poisson_raw_moment_closed_forms():

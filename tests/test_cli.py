@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import json
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 import yaml
 
-from countsim import cli
+from countsim import cli, linalg
 from countsim.config import ConfigError, parse_config, plain
 from countsim.models import IngarchSpec
 from countsim.randomness import Dependence
+from test_workload_configs import _load_workloads
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MANIFEST = Path(__file__).resolve().parent / "data" / "determinism.json"
@@ -173,22 +175,67 @@ def test_a_key_that_names_no_field_is_refused_by_its_path(build, problems):
     assert err.value.problems == problems
 
 
+# Scalar models, so that True == 1 would pass for every dimension and entry.
+_SCALAR_INGARCH = {"kind": "ingarch", "p": 1, "intensity_offset": [1.0],
+                   "lambda_matrices": [[[0.0]]], "count_matrices": [[[0.5]]]}
+SCALAR_DOCUMENTS = {
+    "ingarch": {"seed": 1,
+                "model": {**_SCALAR_INGARCH, "dependence": {"scheme": "gaussian", "correlation": [[1.0]]}},
+                "experiment": {"kind": "moments", "T": 100, "r_values": [1], "delta_values": [0.1]}},
+    "ginar": {"seed": 1,
+              "model": {"kind": "ginar", "p": 1, "mean_matrices": [[[0.5]]],
+                        "immigration": {"family": "poisson", "values": [1.0]}},
+              "experiment": {"kind": "check"}},
+    "couple": {"seed": 1, "model": _SCALAR_INGARCH,
+               "experiment": {"kind": "couple", "n": 10,
+                              "window_a": {"counts": [[0]], "intensities": [[1.0]]},
+                              "window_b": {"counts": [[3]], "intensities": [[8.0]]}}},
+}
+
+
 @pytest.mark.parametrize("path, value", [
-    (("model", "p"), True),
-    (("model", "q"), True),
-    (("experiment", "r_values"), [True]),
-    (("experiment", "delta_values"), [True]),
+    (("ingarch", "model", "p"), True),
+    (("ingarch", "model", "q"), True),
+    (("ingarch", "experiment", "r_values"), [True]),
+    (("ingarch", "experiment", "delta_values"), [True]),
+    (("ingarch", "model", "intensity_offset"), [True]),
+    (("ingarch", "model", "intensity_offset"), ["1.0"]),
+    (("ingarch", "model", "count_matrices"), [[[True]]]),
+    (("ingarch", "model", "count_matrices"), [[["0.5"]]]),
+    (("ingarch", "model", "dependence", "correlation"), [[True]]),
+    (("ingarch", "model", "dependence", "correlation"), [["1"]]),
+    (("ginar", "model", "immigration", "values"), [True]),
+    (("ginar", "model", "immigration", "values"), ["1.0"]),
+    (("couple", "experiment", "window_b", "counts"), [[True]]),
+    (("couple", "experiment", "window_b", "counts"), [["3"]]),
+    (("couple", "experiment", "window_b", "intensities"), [[True]]),
+    (("couple", "experiment", "window_b", "intensities"), [["8.0"]]),
 ])
 def test_booleans_are_not_numbers(path, value):
-    # A scalar model, so that True == 1 would pass for the dimension.
-    raw = yaml.safe_load(MINIMAL_CHECK)
-    raw["model"].update(p=1, intensity_offset=[1.0], lambda_matrices=[[[0.0]]], count_matrices=[[[0.5]]])
-    raw["experiment"] = {"kind": "moments", "T": 100, "r_values": [1], "delta_values": [0.1]}
+    # ``path`` names a scalar document, then the keys down to the field.
+    raw = copy.deepcopy(SCALAR_DOCUMENTS[path[0]])
     parse_config(yaml.safe_dump(raw))
-    raw[path[0]][path[1]] = value
+    target = raw
+    for key in path[1:-1]:
+        target = target[key]
+    target[path[-1]] = value
     with pytest.raises(ConfigError) as err:
         parse_config(yaml.safe_dump(raw))
-    assert any(p.startswith(".".join(path)) for p in err.value.problems)
+    assert any(p.startswith(".".join(path[1:])) for p in err.value.problems)
+
+
+@pytest.mark.parametrize("build, problem", [
+    pytest.param(lambda: IngarchSpec(1, 1, [True], ([[0.3]],), ([[0.5]],)),
+                 "intensity_offset: expected a vector of 1 numbers", id="spec-boolean"),
+    pytest.param(lambda: IngarchSpec(1, 1, [10**400], ([[0.3]],), ([[0.5]],)),  # no float holds it
+                 "intensity_offset: expected a vector of 1 numbers", id="spec-huge-integer"),
+    pytest.param(lambda: linalg.stationary_mean(["1", 1.0], [[0.5, 0.1], [0.0, 0.2]]),
+                 "offset: expected a vector of numbers", id="linalg-string"),
+])
+def test_library_calls_refuse_what_is_not_a_number(build, problem):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.problems == [problem]
 
 
 def test_window_counts_must_be_integers_and_numbers():
@@ -196,7 +243,7 @@ def test_window_counts_must_be_integers_and_numbers():
     for counts, fragment in (([[1.5, 0]], "counts[0][0]: non-integer entry 1.5"),
                              ([[-1, 0]], "counts[0][0]: negative entry -1.0"),
                              ([["x", 0]], "counts[0]: expected a vector of 2 numbers")):
-        raw = config.to_dict()
+        raw = plain(config)
         raw["experiment"]["window_b"]["counts"] = counts
         with pytest.raises(ConfigError) as err:
             parse_config(yaml.safe_dump(raw))
@@ -219,13 +266,13 @@ def test_parse_error_reports_line_and_column():
 
 def test_round_trip_is_idempotent():
     config = parse_config(MINIMAL_CHECK)
-    once = config.to_dict()
-    again = parse_config(yaml.safe_dump(once)).to_dict()
+    once = plain(config)
+    again = plain(parse_config(yaml.safe_dump(once)))
     assert once == again
     for path in sorted(CONFIG_DIR.glob("*.yaml")):
         config = parse_config(path.read_text(encoding="utf-8"))
-        once = config.to_dict()
-        again = parse_config(yaml.safe_dump(once)).to_dict()
+        once = plain(config)
+        again = plain(parse_config(yaml.safe_dump(once)))
         assert once == again, path.name
 
 
@@ -357,6 +404,28 @@ def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
         for item in sorted(out.iterdir()):
             digests[f"{path.stem}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
     assert digests == manifest["digests"], "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
+
+
+def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch):
+    # Every output file of every benchmark invocation, and of a check of its
+    # model, at the manifest's seed and jobs and a reduced size.  They pin
+    # what no shipped config reaches: the Gaussian copula, q > 1 and Poisson
+    # counting.  Regenerated like the shipped configs' digests.
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert np.__version__ == manifest["numpy"], \
+        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    pinned, jobs = manifest["benchmark"], str(manifest["jobs"])
+    digests = {}
+    for make in _load_workloads(monkeypatch).WORKLOADS.values():
+        for inv in make(manifest["seed"], pinned["scale"], manifest["jobs"]).invocations:
+            for name, document, command in ((inv.name, inv.document, inv.command),
+                                            (f"{inv.name}-check", inv.check_document(), "check")):
+                config, out = tmp_path / f"{name}.json", tmp_path / name
+                config.write_text(json.dumps(document), encoding="utf-8")
+                assert cli.main([command, "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+                for item in sorted(out.iterdir()):
+                    digests[f"{name}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
+    assert digests == pinned["digests"], "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
 
 
 def test_strict_exit_codes_via_subprocess(tmp_path):

@@ -357,7 +357,7 @@ def test_moment_fold_batches_match_direct_statistics():
         for r in (1.0, 2.5):
             np.testing.assert_allclose(fold.sums[r][:, i], np.sum(batch**r, axis=1), rtol=1e-12)
         np.testing.assert_allclose(fold.lse[0.3][:, i], _logsumexp(0.3 * batch, axis=1), rtol=1e-12)
-    assert np.array_equal(fold.top[0.3], np.sort(0.3 * sizes, axis=1)[:, -10:])
+    assert np.array_equal(0.3 * fold.top, np.sort(0.3 * sizes, axis=1)[:, -10:])
 
 
 def test_single_replicate_standard_error_accounts_for_dependence():
