@@ -227,20 +227,35 @@ def stirling2(n: int, k: int) -> int:
 
 
 def poisson_raw_moment(lam: float, r: int) -> float:
-    """r-th raw moment of Poisson(lam): sum over i of lam^i S(r, i)."""
+    """r-th raw moment of Poisson(lam): sum over i of lam^i S(r, i).
+
+    A moment past the double range is ``inf``, as an overflowing estimate of
+    :func:`engine.monte_carlo_moments` is.
+    """
     problems = Problems()
     lam = checked_array(lam, (), "lam", problems, "nonnegative")
     checked_int(r, "r", problems)
     problems.raise_if_any()
     if not 1 <= r <= _STIRLING_MAX:
         raise ValueError(f"moment order must lie in [1, {_STIRLING_MAX}], got {r}")
-    return float(sum(float(lam)**i * stirling2(r, i) for i in range(1, r + 1)))
+    try:
+        return float(sum(float(lam)**i * stirling2(r, i) for i in range(1, r + 1)))
+    except OverflowError:  # lam^i past the double range; every term is nonnegative
+        return math.inf
 
 
 def poisson_mgf(lam: float, delta: float) -> float:
-    """log E exp(delta X) for X ~ Poisson(lam), i.e. lam (e^delta - 1)."""
+    """log E exp(delta X) for X ~ Poisson(lam), i.e. lam (e^delta - 1).
+
+    Exactly 0.0 at ``lam = 0`` for every ``delta``; ``inf`` past the double range.
+    """
     problems = Problems()
     lam = checked_array(lam, (), "lam", problems, "nonnegative")
     delta = checked_array(delta, (), "delta", problems, "real")
     problems.raise_if_any()
-    return float(lam) * (math.exp(delta) - 1.0)
+    if lam == 0.0:
+        return 0.0
+    try:
+        return float(lam) * (math.exp(delta) - 1.0)
+    except OverflowError:  # e^delta past the double range, and lam > 0
+        return math.inf

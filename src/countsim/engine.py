@@ -6,8 +6,9 @@ lockstep, as one array state, on one persistent generator per block
 addressed by ``(master_seed, block)``.  With ``jobs > 1`` whole blocks go to
 worker processes; block results merge in replicate order either way.  The
 partition depends only on the replicate count, so every output is the same
-for every ``jobs`` value.  :func:`simulate` and :func:`couple` run a block
-of one, addressed by ``(master_seed, replicate_id)``.
+for every ``jobs`` value.  :func:`couple` runs a block of one, addressed by
+``(master_seed, replicate_id)``; :func:`simulate` steps one chain's companion
+row on that generator, with the same arithmetic and draws as a block of one.
 
 Coupled chains are the two chains of one block state, driven through the
 same noise at every step: one Poisson process per coordinate counted at each
@@ -20,6 +21,7 @@ composite states.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,6 +32,7 @@ from .models import (
     ModelSpec,
     block_state,
     default_window,
+    row_step,
     step,
     validate_window,
     window_distance,
@@ -181,19 +184,29 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
              master_seed: int = 0, replicate_id: int = 0) -> SamplePath:
     """Iterate the one-step map ``T + burn_in`` times from the default window.
 
-    A block of one, bit-reproducible from ``(master_seed, replicate_id)``.
-    Raises :class:`DivergenceError`, tagged with the offending time index, if
-    the trajectory leaves the representable range.
+    One chain steps one companion row through :func:`row_step`, with the same
+    arithmetic and draws as :func:`step` on a block of one, on the generator
+    addressed by ``(master_seed, replicate_id)``; the path is bit-reproducible
+    from them.  Raises :class:`DivergenceError`, tagged with the offending
+    time index, if the trajectory leaves the representable range.
     """
     SimulateExperiment(T, burn_in)  # checks the run parameters
-    counts = np.zeros((T, spec.p), dtype=np.int64)
-    intensities = np.zeros((T, spec.p))
-    state = block_state([validate_window(spec, default_window(spec))])
-    for t, _, y, intensity in _lockstep(spec, state, T + burn_in, block_rng(master_seed, replicate_id)):
-        if t >= burn_in:
-            counts[t - burn_in] = y[0, 0]
-            intensities[t - burn_in] = intensity[0, 0]
-    return SamplePath(counts, intensities)
+    rng = block_rng(master_seed, replicate_id)
+    row = validate_window(spec, default_window(spec))
+    counts, intensities = array("q"), array("d")  # int64 and float64, row after row
+    t = 0
+    try:
+        for t in range(burn_in):
+            row, _, _ = row_step(spec, row, rng)
+        for t in range(burn_in, burn_in + T):
+            row, y, intensity = row_step(spec, row, rng)
+            counts.extend(y)
+            intensities.extend(intensity)
+    except DivergenceError as exc:
+        exc.time_index = t
+        raise
+    return SamplePath(np.frombuffer(counts, np.int64).reshape(T, spec.p),
+                      np.frombuffer(intensities).reshape(T, spec.p))
 
 
 def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str, tuple[int, int]]:

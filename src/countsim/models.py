@@ -12,9 +12,10 @@ Each model advances a window of its ``q`` most recent composite states
 Specs are immutable and shareable.  A block of replicates, each with one or
 two coupled chains, advances in lockstep through :func:`step`: its state is
 one ``(chains, replicates, k)`` array of companion rows (see
-:func:`validate_window`).  The log-linear one holds mu and ``log(1 + y)``, the
+:func:`validate_window`).  The log-linear row holds mu and ``log(1 + y)``, the
 coordinates in which that model contracts, so coupling distances are
-measured where contraction actually happens.
+measured where contraction actually happens.  A single chain steps its 1-D
+row through :func:`row_step`, with the same arithmetic and draws.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/trace
 
 #: Any component of mu above this puts lambda past the intensity limit; treat as blow-up.
 MU_LIMIT = float(np.log(INTENSITY_LIMIT))
+
+_MU_EXCEEDED = f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary"
 
 #: GINAR counts above this are refused: thinning needs them exact in 64 bits.
 COUNT_LIMIT = 2**62
@@ -363,7 +366,7 @@ def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Gene
     """
     p, q = spec.p, spec.q
     lam = drift[:, :, :p]
-    check_intensities(lam)
+    check_intensities(lam.max())
     counts = shared_counts(rng, spec.dependence, lam)
     drift[:, :, q * p:(q + 1) * p] = counts
     return drift, counts, lam
@@ -379,7 +382,7 @@ def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.
     p, q = spec.p, spec.q
     mu = drift[:, :, :p]
     if not mu.max() <= MU_LIMIT:  # also true for NaN
-        raise DivergenceError(f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary")
+        raise DivergenceError(_MU_EXCEEDED)
     lam = np.exp(mu)
     counts = shared_counts(rng, spec.dependence, lam)
     drift[:, :, q * p:(q + 1) * p] = np.log1p(counts)
@@ -405,6 +408,63 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     if isinstance(spec, IngarchSpec):
         return ingarch_block_step(spec, drift, rng)
     return loglinear_block_step(spec, drift, rng)
+
+
+def _row_counts(rng: np.random.Generator, dependence: Dependence, lam: list) -> list:
+    """One chain's counts at the intensities ``lam``, drawn as :func:`shared_counts` draws a block of one.
+
+    Independent counts are one scalar Poisson call per entry, in order: the
+    calls ``_draw`` makes up to ``SCALAR_DRAW_LIMIT`` entries, and the values
+    its array call draws past it.  Copula counts come from :func:`shared_counts`
+    on a ``(1, 1, p)`` array, since there the inverse CDF is the cost.
+    """
+    if dependence.scheme == "independent":
+        return list(map(rng.poisson, lam))
+    return shared_counts(rng, dependence, np.array(lam).reshape(1, 1, -1))[0, 0].tolist()
+
+
+def ginar_row_step(spec: GinarSpec, row: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
+    """:func:`ginar_block_step` on a ``(1, 1, k)`` view of one chain's row: there the draws are the cost."""
+    lags, counts, mean = ginar_block_step(spec, row.reshape(1, 1, -1), drift.reshape(1, 1, -1), rng)
+    return lags[0, 0], counts[0, 0].tolist(), mean[0, 0].tolist()
+
+
+def ingarch_row_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
+    """:func:`ingarch_block_step` for one chain's row, with lambda read once as floats."""
+    p, q = spec.p, spec.q
+    lam = drift[:p].tolist()
+    check_intensities(max(lam))
+    counts = _row_counts(rng, spec.dependence, lam)
+    drift[q * p:(q + 1) * p] = counts
+    return drift, counts, lam
+
+
+def loglinear_row_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
+    """:func:`loglinear_block_step` for one chain's row, with mu read once as floats."""
+    p, q = spec.p, spec.q
+    if not all(mu <= MU_LIMIT for mu in drift[:p].tolist()):  # also true for NaN
+        raise DivergenceError(_MU_EXCEEDED)
+    lam = np.exp(drift[:p]).tolist()
+    counts = _row_counts(rng, spec.dependence, lam)
+    drift[q * p:(q + 1) * p] = np.log1p(counts)
+    return drift, counts, lam
+
+
+def row_step(spec: ModelSpec, row: np.ndarray, rng: np.random.Generator):
+    """One transition of a single chain's companion row (see :func:`validate_window`).
+
+    The same arithmetic and draws as :func:`step` on a block of one chain and
+    one replicate, so the bits are the same, without the block's array
+    plumbing.  Returns ``(new_row, counts, intensity)``: the counts and the
+    conditional mean are lists of ``p`` Python numbers.
+    """
+    matrix, offset = spec.stepping
+    drift = np.einsum("k,jk->j", row, matrix) + offset  # einsum, as in step
+    if isinstance(spec, GinarSpec):
+        return ginar_row_step(spec, row, drift, rng)
+    if isinstance(spec, IngarchSpec):
+        return ingarch_row_step(spec, drift, rng)
+    return loglinear_row_step(spec, drift, rng)
 
 
 def window_distance(state: np.ndarray) -> np.ndarray:

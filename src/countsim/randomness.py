@@ -147,9 +147,9 @@ def _draw(method, *params, size=None) -> np.ndarray:
     return method(*params) if size is None else method(*params, size=size)  # size=None costs 2 us
 
 
-def check_intensities(lam: np.ndarray) -> None:
-    """Refuse intensities past the limit; the draws refuse negative and NaN ones."""
-    if lam.max() > INTENSITY_LIMIT:
+def check_intensities(peak: float) -> None:
+    """Refuse an intensity peak past the limit; the draws refuse negative and NaN intensities."""
+    if peak > INTENSITY_LIMIT:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
 
 
@@ -289,7 +289,7 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
         parts = np.stack((lo, counts[0] - lo, counts[1] - lo))
     if family == "poisson":
         mean = np.einsum("jil,krjl->kri", means, parts)
-        check_intensities(mean)
+        check_intensities(mean.max())
         sums = _draw(rng.poisson, mean)
     else:
         n = parts[:, :, :, None, :]

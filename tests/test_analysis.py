@@ -249,6 +249,15 @@ def test_poisson_mgf_values():
     assert poisson_mgf(0.0, 3.0) == 0.0
 
 
+@pytest.mark.parametrize("call, value", [
+    pytest.param(lambda: poisson_mgf(0.0, 1000.0), 0.0, id="mgf-zero-intensity-huge-delta"),
+    pytest.param(lambda: poisson_mgf(1.0, 800.0), math.inf, id="mgf-past-the-double-range"),
+    pytest.param(lambda: poisson_raw_moment(1e300, 30), math.inf, id="raw-past-the-double-range"),
+])
+def test_poisson_oracles_answer_past_the_double_range(call, value):
+    assert call() == value
+
+
 def test_poisson_mgf_matches_log_mean_exp():
     rng = np.random.default_rng(43)
     n = 200000

@@ -11,7 +11,17 @@ from countsim.engine import (
     simulate,
 )
 from countsim.errors import ConfigError, DivergenceError
-from countsim.models import GinarSpec, ImmigrationSpec, IngarchSpec, LogLinearSpec, default_window
+from countsim.models import (
+    GinarSpec,
+    ImmigrationSpec,
+    IngarchSpec,
+    LogLinearSpec,
+    block_state,
+    default_window,
+    step,
+    validate_window,
+)
+from countsim.randomness import SCALAR_DRAW_LIMIT, block_rng
 
 
 def iid_poisson1():
@@ -112,6 +122,96 @@ def test_each_family_fails_at_its_range_check(spec, seed, message):
     with pytest.raises(DivergenceError, match=message) as err:
         simulate(spec, k + 1, 0, master_seed=seed)
     assert err.value.time_index == k
+
+
+def _block_of_one(spec, T: int, burn_in: int, master_seed: int, replicate_id: int = 0):
+    """The reference for simulate: models.step on a block of one from block_rng(master_seed, replicate_id)."""
+    rng = block_rng(master_seed, replicate_id)
+    state = block_state([validate_window(spec, default_window(spec))])
+    counts, intensities = [], []
+    for t in range(T + burn_in):
+        try:
+            state, y, lam = step(spec, state, rng)
+        except DivergenceError as exc:
+            exc.time_index = t
+            raise
+        if t >= burn_in:
+            counts.append(y[0, 0])
+            intensities.append(lam[0, 0])
+    return np.array(counts), np.array(intensities)
+
+
+def _lag_matrices(p: int, q: int, total: float, seed: int, signed: bool = False) -> tuple:
+    """``q`` p x p matrices whose absolute entries sum to ``total`` along every row, over the lags."""
+    gen = np.random.default_rng(seed)
+    mats = gen.uniform(0.1, 1.0, (q, p, p))
+    mats *= total / mats.sum(axis=(0, 2))[None, :, None]
+    if signed:
+        mats *= gen.choice([-1.0, 1.0], mats.shape)
+    return tuple(m.tolist() for m in mats)
+
+
+def _dependence(scheme: str, p: int):
+    if scheme != "gaussian":
+        return {"scheme": scheme}
+    return {"scheme": scheme, "correlation": (0.7 * np.eye(p) + 0.3).tolist()}
+
+
+def _intensity_spec(kind: str, p: int, q: int, scheme: str):
+    if kind == "ingarch":
+        return IngarchSpec(p, q, [1.0 + 0.5 * j for j in range(p)], _lag_matrices(p, q, 0.3, 1),
+                           _lag_matrices(p, q, 0.4, 2), _dependence(scheme, p))
+    return LogLinearSpec(p, q, [0.3] * p, _lag_matrices(p, q, 0.3, 3, signed=True),
+                         _lag_matrices(p, q, 0.4, 4, signed=True), _dependence(scheme, p))
+
+
+def _ginar_spec(p: int, q: int, counting: str, immigration: str):
+    values = [1.0] * p if immigration != "constant" else [1] * p
+    return GinarSpec(p, q, _lag_matrices(p, q, 0.6, 5), counting, ImmigrationSpec(immigration, values))
+
+
+_WIDE = SCALAR_DRAW_LIMIT + 1  # past the scalar draws: the block step makes array calls
+_SINGLE_PATH_CASES = [
+    pytest.param(lambda c=c, i=i: _ginar_spec(2, 1, c, i), id=f"ginar-{c}-{i}")
+    for c in ("bernoulli", "poisson", "geometric") for i in ("poisson", "geometric", "constant")
+] + [
+    pytest.param(lambda c=c: _ginar_spec(2, 2, c, "poisson"), id=f"ginar-{c}-q2")
+    for c in ("bernoulli", "poisson", "geometric")
+] + [
+    pytest.param(lambda c=c: _ginar_spec(_WIDE, 1, c, "geometric"), id=f"ginar-{c}-p{_WIDE}")
+    for c in ("bernoulli", "poisson")
+] + [
+    pytest.param(lambda k=k, p=p, q=q, s=s: _intensity_spec(k, p, q, s), id=f"{k}-{s}-p{p}-q{q}")
+    for k in ("ingarch", "loglinear") for s in ("independent", "comonotone", "gaussian")
+    for p, q in ((2, 1), (2, 2), (_WIDE, 1))
+]
+
+
+@pytest.mark.parametrize("make", _SINGLE_PATH_CASES)
+def test_simulate_matches_the_block_step_bit_for_bit(make):
+    spec = make()
+    path = simulate(spec, 300, 25, master_seed=21, replicate_id=4)
+    counts, intensities = _block_of_one(spec, 300, 25, master_seed=21, replicate_id=4)
+    assert path.counts.dtype == counts.dtype and path.intensities.dtype == intensities.dtype
+    assert np.array_equal(path.counts, counts)
+    assert np.array_equal(path.intensities, intensities)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    pytest.param(IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],)), 3, id="ingarch"),
+    pytest.param(IngarchSpec(2, 1, [1.0, 1.0], ([[0.5, 0.0], [0.0, 0.5]],), ([[0.7, 0.0], [0.0, 0.7]],),
+                             {"scheme": "comonotone"}), 3, id="ingarch-comonotone"),
+    pytest.param(GinarSpec(1, 1, ([[1.5]],), "geometric", ImmigrationSpec("poisson", [1.0])), 3, id="ginar-geometric"),
+    pytest.param(GinarSpec(1, 1, ([[1.5]],), "poisson", ImmigrationSpec("poisson", [1.0])), 3, id="ginar-poisson"),
+    pytest.param(LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],)), 8, id="loglinear"),
+])
+def test_simulate_diverges_at_the_block_step_index(spec, seed):
+    with pytest.raises(DivergenceError) as row:
+        simulate(spec, 400, 5, master_seed=seed)
+    with pytest.raises(DivergenceError) as block:
+        _block_of_one(spec, 400, 5, master_seed=seed)
+    assert row.value.time_index == block.value.time_index > 5
+    assert str(row.value) == str(block.value)
 
 
 def test_csv_export_layout(tmp_path):

@@ -11,10 +11,12 @@ from countsim.models import (
     ImmigrationSpec,
     IngarchSpec,
     LogLinearSpec,
+    MU_LIMIT,
     block_state,
     default_window,
     ingarch_intensity,
     loglinear_mu,
+    row_step,
     step,
     validate_window,
     window_distance,
@@ -375,6 +377,32 @@ def test_step_rejects_mismatched_state():
     wide = IngarchSpec(2, 1, [1.0, 1.0], (np.zeros((2, 2)),), (np.zeros((2, 2)),))
     with pytest.raises(ConfigurationError):
         step(ispec, start(wide), block_rng(1, 0))
+
+
+_IDENTITY_2D = ([[1.0, 0.0], [0.0, 1.0]],)
+
+
+def _loglinear_nan_at(coordinate: int) -> LogLinearSpec:
+    """A model whose mu at ``coordinate`` is inf - inf = NaN from the row (1e308, 1e308), the other 0."""
+    lead = np.zeros((2, 2))
+    lead[coordinate] = [2.0, -2.0]
+    return LogLinearSpec(2, 1, [0.0, 0.0], (lead,), _IDENTITY_2D)
+
+
+@pytest.mark.parametrize("spec, row", [
+    pytest.param(_loglinear_nan_at(0), [1e308, 1e308, 0.0, 0.0], id="loglinear-nan-first"),
+    pytest.param(_loglinear_nan_at(1), [1e308, 1e308, 0.0, 0.0], id="loglinear-nan-last"),
+    pytest.param(LogLinearSpec(2, 1, [0.0, 0.0], _IDENTITY_2D, _IDENTITY_2D), [0.0, MU_LIMIT + 0.5, 0.0, 0.0],
+                 id="loglinear-just-past-the-limit"),
+    pytest.param(IngarchSpec(2, 1, [0.0, 0.0], _IDENTITY_2D, _IDENTITY_2D), [1.0, 2e18, 0.0, 0.0],
+                 id="ingarch-past-the-limit"),
+])
+def test_row_step_refuses_what_the_block_step_refuses(spec, row):
+    with pytest.raises(DivergenceError) as by_row:
+        row_step(spec, np.array(row), block_rng(1, 0))
+    with pytest.raises(DivergenceError) as by_block:
+        step(spec, block_state([np.array(row)]), block_rng(1, 0))
+    assert str(by_row.value) == str(by_block.value)
 
 
 def test_ginar_order_two_equals_hand_stacked_pair_map():
