@@ -28,7 +28,7 @@ from .engine import (
     simulate,
 )
 from .errors import ConfigurationError, DivergenceError, StationarityError
-from .linalg import companion, entrywise_abs, matrix_norm, spectral_radius, stationary_mean
+from .linalg import companion, matrix_norm, spectral_radius, stationary_mean
 from .models import (
     GinarSpec,
     ImmigrationSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "DivergenceError",
     "StationarityError",
     "companion",
-    "entrywise_abs",
     "matrix_norm",
     "spectral_radius",
     "stationary_mean",

@@ -3,11 +3,11 @@
 Each checker evaluates the named scalar diagnostics of a model (spectral
 radii and operator norms of summed coefficient matrices), decides each
 condition's verdict and lists the conclusions the holding conditions
-license.  A spectral-radius verdict holds only when the certified bracket
-of :func:`linalg.certified_radius` lies below 1; a bracket that contains 1
-fails and is flagged ``boundary``, as :func:`linalg.stationary_mean` and
-``--strict`` also decide.  A norm verdict compares the norm to 1 with strict
-inequality and flags values within 1e-12 of 1 ``boundary``.
+license.  One rule decides every ``< 1`` condition, on a spectral radius or
+a norm: it holds only when the value's certified :class:`linalg.Bracket`
+lies below 1, and a bracket that contains 1 fails and is flagged
+``boundary``, as :func:`linalg.stationary_mean` and ``--strict`` also decide.
+A norm's bracket covers the rounding of its float sums.
 """
 
 from __future__ import annotations
@@ -25,14 +25,20 @@ HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
 
-_BOUNDARY_TOL = 1e-12
 _STIRLING_MAX = 30
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """A condition's status: a ``< 1`` condition holds only when its certified
+    bracket lies below 1, and ``boundary`` means the bracket contains 1."""
+
     status: str
     boundary: bool = False
+
+    @classmethod
+    def below_one(cls, bracket: linalg.Bracket) -> Verdict:
+        return cls(HOLDS if bracket.below_one else FAILS, bracket.boundary)
 
 
 @dataclass(frozen=True)
@@ -72,17 +78,6 @@ class ConditionReport:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def _verdict(value: float) -> Verdict:
-    # Strict comparison with tolerance zero; the boundary flag records ties.
-    return Verdict(HOLDS if value < 1.0 else FAILS, boundary=abs(value - 1.0) <= _BOUNDARY_TOL)
-
-
-def _radius(total) -> tuple[float, Verdict]:
-    """Spectral radius of a nonnegative matrix and its certified verdict."""
-    radius = linalg.certified_radius(total)
-    return radius.value, Verdict(HOLDS if radius.stationary else FAILS, radius.boundary)
 
 
 def _lag_sum(*families) -> np.ndarray:
@@ -137,10 +132,10 @@ def check_model(spec: ModelSpec) -> ConditionReport:
 def check_ginar(spec: GinarSpec) -> ConditionReport:
     """Stationarity and moment conditions of the thinning model."""
     total = _lag_sum(spec.mean_matrices)
-    rho, stationarity = _radius(total)
-    computed = {"rho_sum_means": Diagnostic(rho, total.tolist())}
+    rho = linalg.certified_radius(total)
+    computed = {"rho_sum_means": Diagnostic(rho.value, total.tolist())}
     verdicts = {
-        "stationarity": stationarity,
+        "stationarity": Verdict.below_one(rho),
         # Built-in counting and immigration families all have finite moments
         # of every order, so the moment hypothesis holds by construction.
         "higher_order_moments": Verdict(HOLDS),
@@ -155,24 +150,25 @@ def check_ginar(spec: GinarSpec) -> ConditionReport:
 def check_ingarch(spec: IngarchSpec) -> ConditionReport:
     """Stationarity, polynomial-moment and exponential-moment conditions."""
     total = _lag_sum(spec.lambda_matrices, spec.count_matrices)
-    rho, stationarity = _radius(total)
-    l1_sum = _norm_sum(spec, "l1")
-    linf = linalg.matrix_norm(total, "linf")
+    rho = linalg.certified_radius(total)
+    # Float sums: linf adds p terms per row; l1_sum p per column, then 2q norms.
+    linf = linalg.sum_bracket(linalg.matrix_norm(total, "linf"), spec.p)
+    l1_sum = linalg.sum_bracket(_norm_sum(spec, "l1"), spec.p + 2 * spec.q)
     min_d = float(spec.intensity_offset.min())
 
     computed = {
-        "rho_sum_AB": Diagnostic(rho, total.tolist()),
-        "l1_sum_norms": Diagnostic(l1_sum, None),
-        "linf_sum": Diagnostic(linf, total.tolist()),
+        "rho_sum_AB": Diagnostic(rho.value, total.tolist()),
+        "l1_sum_norms": Diagnostic(l1_sum.value, None),
+        "linf_sum": Diagnostic(linf.value, total.tolist()),
         # Informational only: no verdict attaches to the l2 diagnostic.
         "l2_sum_norms": Diagnostic(_norm_sum(spec, "l2"), None),
         "min_offset": Diagnostic(min_d, spec.intensity_offset.tolist()),
     }
     verdicts = {
-        "stationarity": stationarity,
-        "polynomial_moments": stationarity,
-        "exp_moment_l1": _verdict(l1_sum),
-        "exp_moment_linf": _verdict(linf),
+        "stationarity": Verdict.below_one(rho),
+        "polynomial_moments": Verdict.below_one(rho),
+        "exp_moment_l1": Verdict.below_one(l1_sum),
+        "exp_moment_linf": Verdict.below_one(linf),
         "necessity_applicable": Verdict(HOLDS if min_d > 0 else NOT_APPLICABLE),
     }
     notes = []
@@ -190,15 +186,15 @@ def check_ingarch(spec: IngarchSpec) -> ConditionReport:
 def check_loglinear(spec: LogLinearSpec) -> ConditionReport:
     """Conditions on the entrywise absolute values of the coefficients."""
     total = _lag_sum(np.abs(spec.mu_matrices), np.abs(spec.logcount_matrices))
-    rho, stationarity = _radius(total)
-    linf = linalg.matrix_norm(total, "linf")
+    rho = linalg.certified_radius(total)
+    linf = linalg.sum_bracket(linalg.matrix_norm(total, "linf"), spec.p)
     computed = {
-        "rho_sum_abs": Diagnostic(rho, total.tolist()),
-        "linf_sum_abs": Diagnostic(linf, total.tolist()),
+        "rho_sum_abs": Diagnostic(rho.value, total.tolist()),
+        "linf_sum_abs": Diagnostic(linf.value, total.tolist()),
     }
     verdicts = {
-        "stationarity": stationarity,
-        "exp_moments": _verdict(linf),
+        "stationarity": Verdict.below_one(rho),
+        "exp_moments": Verdict.below_one(linf),
     }
     return _report("loglinear", computed, verdicts, [])
 

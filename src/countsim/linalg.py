@@ -1,16 +1,16 @@
 """Dense linear algebra for small nonnegative systems.
 
-Operator norms, spectral radii, companion matrices, the certified stability
-rule and the fixed-point mean solve used by the stability checkers.  Inputs
+Operator norms, spectral radii, companion matrices, certified brackets and
+the fixed-point mean solve used by the stability checkers.  Inputs
 may be nested lists; each passes :func:`errors.checked_array`, so a
 nonsquare, empty, non-finite or (where the function needs it) negative one,
 or one with a boolean or string entry, raises :class:`ConfigError`, a
 ``ValueError``.  All functions are pure.
 
-One rule decides ``rho < 1``: it holds only when the certified bracket of
-:func:`certified_radius` lies below 1, and a bracket that contains 1 is a
-``boundary`` case that fails.  The checkers and :func:`stationary_mean`
-both apply it.
+One rule decides every ``x < 1``, for a spectral radius or a norm: it holds
+only when the certified :class:`Bracket` of ``x`` lies below 1, and a bracket
+that contains 1 is a ``boundary`` case that fails.  The checkers and
+:func:`stationary_mean` both apply it.
 """
 
 from __future__ import annotations
@@ -24,30 +24,26 @@ from .errors import Problems, StationarityError, checked_array
 #: Supported operator-norm kinds.
 NORM_KINDS = ("l1", "l2", "linf")
 
+_EPS = float(np.finfo(float).eps)
 # Relative widening of a Collatz-Wielandt bound per row entry, covering the
 # rounding of the matrix-vector product it is computed from.
-_BRACKET_SLACK = 4.0 * float(np.finfo(float).eps)
+_BRACKET_SLACK = 4.0 * _EPS
 
 
-def _checked(values, path: str, problems: Problems, rule: str = "real", square: bool = True):
-    """``values`` as a non-empty (square) float matrix obeying ``rule``, or None after filing a problem."""
+def _checked(values, path: str, problems: Problems, rule: str = "real"):
+    """``values`` as a non-empty square float matrix obeying ``rule``, or None after filing a problem."""
     m = checked_array(values, (None, None), path, problems, rule)
-    if m is not None and (m.size == 0 or square and m.shape[0] != m.shape[1]):
-        problems.add(path, f"expected a non-empty {'square ' if square else ''}matrix, got shape {m.shape}")
+    if m is not None and (m.size == 0 or m.shape[0] != m.shape[1]):
+        problems.add(path, f"expected a non-empty square matrix, got shape {m.shape}")
         return None
     return m
 
 
-def _matrix(values, rule: str = "real", square: bool = True) -> np.ndarray:
+def _matrix(values, rule: str = "real") -> np.ndarray:
     problems = Problems()
-    m = _checked(values, "matrix", problems, rule, square)
+    m = _checked(values, "matrix", problems, rule)
     problems.raise_if_any()
     return m
-
-
-def entrywise_abs(m) -> np.ndarray:
-    """Entrywise absolute value, same shape as the input."""
-    return np.abs(_matrix(m, square=False))
 
 
 def matrix_norm(m, kind: str) -> float:
@@ -85,23 +81,31 @@ def strong_components(m) -> list[list[int]]:
     return components
 
 
-class Radius(NamedTuple):
-    """Spectral radius estimate ``value`` inside certified bounds ``lo <= rho <= hi``."""
+class Bracket(NamedTuple):
+    """Estimate ``value`` of a quantity ``x`` inside certified bounds ``lo <= x <= hi``."""
 
     value: float
     lo: float
     hi: float
 
     @property
-    def stationary(self) -> bool:  # rho < 1 is certified
+    def below_one(self) -> bool:  # x < 1 is certified
         return self.hi < 1.0
 
     @property
-    def boundary(self) -> bool:  # undecided, so not stationary
+    def boundary(self) -> bool:  # undecided, so not below 1
         return self.lo <= 1.0 <= self.hi
 
 
-def certified_radius(m) -> Radius:
+def sum_bracket(value: float, terms: int) -> Bracket:
+    """Bracket of the exact sum of ``terms`` nonnegative floats, given their float sum ``value``.
+
+    Each addition rounds by at most eps/2 of its partial sum, which ``terms * eps`` covers."""
+    slack = terms * _EPS
+    return Bracket(value, value * (1.0 - slack), value * (1.0 + slack))
+
+
+def certified_radius(m) -> Bracket:
     """Perron root of a nonnegative matrix, clamped into certified bounds.
 
     The spectral radius of a nonnegative matrix is the largest over its
@@ -136,7 +140,7 @@ def certified_radius(m) -> Radius:
             block_lo = float(ratios.min()) * (1.0 - slack)
             block_hi = float(ratios.max()) * (1.0 + slack)
         value, lo, hi = max(value, block_value), max(lo, block_lo), max(hi, block_hi)
-    return Radius(min(max(value, lo), hi), lo, hi)
+    return Bracket(min(max(value, lo), hi), lo, hi)
 
 
 def companion(blocks: Sequence) -> np.ndarray:
@@ -178,7 +182,7 @@ def stationary_mean(d, e_total) -> np.ndarray:
         problems.add("offset", f"length {d.shape[0]} does not match matrix size {e.shape[0]}")
     problems.raise_if_any()
     radius = certified_radius(e)
-    if not radius.stationary:
+    if not radius.below_one:
         raise StationarityError(f"spectral radius bracket [{radius.lo!r}, {radius.hi!r}] "
                                 "is not below 1, no stationary mean exists")
     return np.linalg.solve(np.eye(e.shape[0]) - e, d)

@@ -270,12 +270,20 @@ def test_poisson_mgf_matches_log_mean_exp():
             assert abs(log_est - poisson_mgf(lam, delta)) < 4 * se_log
 
 
-def test_boundary_flag_only_near_one():
-    assert analysis._verdict(1.0).boundary
-    assert analysis._verdict(1.0 + 5e-13).boundary
-    assert not analysis._verdict(0.999999).boundary
-    assert analysis._verdict(0.999999).status == HOLDS
-    assert analysis._verdict(1.000001).status == FAILS
+# Every "< 1" verdict of a scalar model whose lag sum is 0.5 + b: by one rule,
+# it holds below 1 and fails above, without boundary, and is boundary at 1.
+@pytest.mark.parametrize("b,expected", [
+    pytest.param(0.5 - 5e-14, analysis.Verdict(HOLDS, boundary=False), id="below"),
+    pytest.param(0.5, analysis.Verdict(FAILS, boundary=True), id="at"),
+    pytest.param(0.5 + 5e-14, analysis.Verdict(FAILS, boundary=False), id="above"),
+])
+def test_knife_edge_verdicts_share_one_rule(b, expected):
+    report = check_ingarch(ingarch([[[0.5]]], [[[b]]]))
+    for name in ("stationarity", "polynomial_moments", "exp_moment_l1", "exp_moment_linf"):
+        assert report.verdicts[name] == expected, name
+    report = check_loglinear(loglinear([[[-0.5]]], [[[b]]]))
+    for name in ("stationarity", "exp_moments"):
+        assert report.verdicts[name] == expected, name
 
 
 # --- certified radius verdicts -----------------------------------------------

@@ -408,24 +408,29 @@ def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
 
 def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch):
     # Every output file of every benchmark invocation, and of a check of its
-    # model, at the manifest's seed and jobs and a reduced size.  They pin
-    # what no shipped config reaches: the Gaussian copula, q > 1 and Poisson
-    # counting.  Regenerated like the shipped configs' digests.
+    # model, at the manifest's seed and a reduced size.  They pin what no
+    # shipped config reaches: the Gaussian copula, q > 1 and Poisson
+    # counting.  The same digests hold at --jobs 1 and 2, since outputs do
+    # not depend on the worker count.  Regenerated like the shipped configs'
+    # digests, at the manifest's jobs.
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert np.__version__ == manifest["numpy"], \
         f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
-    pinned, jobs = manifest["benchmark"], str(manifest["jobs"])
-    digests = {}
-    for make in _load_workloads(monkeypatch).WORKLOADS.values():
-        for inv in make(manifest["seed"], pinned["scale"], manifest["jobs"]).invocations:
-            for name, document, command in ((inv.name, inv.document, inv.command),
-                                            (f"{inv.name}-check", inv.check_document(), "check")):
-                config, out = tmp_path / f"{name}.json", tmp_path / name
-                config.write_text(json.dumps(document), encoding="utf-8")
-                assert cli.main([command, "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
-                for item in sorted(out.iterdir()):
-                    digests[f"{name}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
-    assert digests == pinned["digests"], "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
+    pinned = manifest["benchmark"]
+    for jobs in ("1", "2"):
+        digests = {}
+        for make in _load_workloads(monkeypatch).WORKLOADS.values():
+            for inv in make(manifest["seed"], pinned["scale"], manifest["jobs"]).invocations:
+                for name, document, command in ((inv.name, inv.document, inv.command),
+                                                (f"{inv.name}-check", inv.check_document(), "check")):
+                    config, out = tmp_path / jobs / f"{name}.json", tmp_path / jobs / name
+                    config.parent.mkdir(exist_ok=True)
+                    config.write_text(json.dumps(document), encoding="utf-8")
+                    assert cli.main([command, "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+                    for item in sorted(out.iterdir()):
+                        digests[f"{name}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
+        assert digests == pinned["digests"], \
+            f"outputs moved at --jobs {jobs}; their digests are\n" + json.dumps(digests, indent=2)
 
 
 def test_strict_exit_codes_via_subprocess(tmp_path):

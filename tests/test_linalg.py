@@ -41,15 +41,6 @@ def test_norm_rejects_nonsquare_and_bad_kind():
         linalg.matrix_norm(np.eye(2), "spectral")
 
 
-def test_entrywise_abs():
-    assert np.array_equal(linalg.entrywise_abs([[-1.0, 2.0], [0.0, -3.0]]),
-                          [[1.0, 2.0], [0.0, 3.0]])
-    z = np.zeros((2, 3))
-    assert np.array_equal(linalg.entrywise_abs(z), z)
-    m = np.array([[0.2, 0.7], [0.1, 0.0]])
-    assert np.array_equal(linalg.entrywise_abs(m), m)
-
-
 def test_spectral_radius_triangular():
     # Upper triangular, eigenvalues on the diagonal.
     assert linalg.spectral_radius([[0.5, 0.4], [0.0, 0.5]]) == pytest.approx(0.5, abs=1e-8)
@@ -240,7 +231,7 @@ def test_radius_bracket_is_exact_on_triangular_matrices():
 def test_radius_bracket_contains_one_on_the_knife_edge():
     radius = linalg.certified_radius([[0.5, 0.5], [0.5, 0.5]])
     assert radius.lo <= radius.value <= radius.hi
-    assert radius.lo <= 1.0 <= radius.hi and radius.boundary and not radius.stationary
+    assert radius.lo <= 1.0 <= radius.hi and radius.boundary and not radius.below_one
     assert radius.hi - radius.lo < 1e-14
 
 
