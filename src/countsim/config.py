@@ -59,7 +59,7 @@ class Output:
         problems.raise_if_any()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One model and one experiment under a master seed.
 

@@ -8,7 +8,7 @@ worker processes; block results merge in replicate order either way.  The
 partition depends only on the replicate count, so every output is the same
 for every ``jobs`` value.  :func:`couple` runs a block of one, addressed by
 ``(master_seed, replicate_id)``; :func:`simulate` steps one chain's companion
-row on that generator, with the same arithmetic and draws as a block of one.
+row on that generator, through the same :func:`step`.
 
 Coupled chains are the two chains of one block state, driven through the
 same noise at every step: one Poisson process per coordinate counted at each
@@ -32,7 +32,6 @@ from .models import (
     ModelSpec,
     block_state,
     default_window,
-    row_step,
     step,
     validate_window,
     window_distance,
@@ -92,7 +91,7 @@ class SimulateExperiment:
         problems.raise_if_any()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupleExperiment:
     """``replicates`` coupled pairs run ``n`` steps from two start windows.
 
@@ -144,7 +143,7 @@ class MomentsExperiment:
             object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(eq=False)
 class SamplePath:
     """A simulated trajectory with burn-in discarded.
 
@@ -184,11 +183,11 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
              master_seed: int = 0, replicate_id: int = 0) -> SamplePath:
     """Iterate the one-step map ``T + burn_in`` times from the default window.
 
-    One chain steps one companion row through :func:`row_step`, with the same
-    arithmetic and draws as :func:`step` on a block of one, on the generator
-    addressed by ``(master_seed, replicate_id)``; the path is bit-reproducible
-    from them.  Raises :class:`DivergenceError`, tagged with the offending
-    time index, if the trajectory leaves the representable range.
+    One chain steps one companion row through :func:`step`, with the same
+    arithmetic and draws as a block of one, on the generator addressed by
+    ``(master_seed, replicate_id)``; the path is bit-reproducible from them.
+    Raises :class:`DivergenceError`, tagged with the offending time index, if
+    the trajectory leaves the representable range.
     """
     SimulateExperiment(T, burn_in)  # checks the run parameters
     rng = block_rng(master_seed, replicate_id)
@@ -197,9 +196,9 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
     t = 0
     try:
         for t in range(burn_in):
-            row, _, _ = row_step(spec, row, rng)
+            row, _, _ = step(spec, row, rng)
         for t in range(burn_in, burn_in + T):
-            row, y, intensity = row_step(spec, row, rng)
+            row, y, intensity = step(spec, row, rng)
             counts.extend(y)
             intensities.extend(intensity)
     except DivergenceError as exc:
@@ -234,7 +233,7 @@ def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str
     return rate, (start, end)
 
 
-@dataclass
+@dataclass(eq=False)
 class CouplingEnsemble:
     """Replicate-averaged coupling behaviour for one pair of start windows.
 

@@ -56,8 +56,8 @@ def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str)
     anything else, nested lists included, is looked at entry by entry.
     ``None`` in ``shape`` matches any length, and ``()`` asks for one number.
     ``rule`` is ``"real"`` (finite entries), ``"nonnegative"`` or ``"count"``
-    (nonnegative integers); a broken rule is reported at its first offending
-    entry.
+    (nonnegative integers below 2**53, which a float holds exactly); a broken
+    rule is reported at its first offending entry.
     """
     numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
     entries = value if numeric else np.asarray(value, dtype=object)
@@ -81,7 +81,8 @@ def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str)
         return None
     if rule != "real" and flag_entry(arr, arr < 0, "negative entry {}", path, problems):
         return None
-    if rule == "count" and flag_entry(arr, arr != np.floor(arr), "non-integer entry {}", path, problems):
+    if rule == "count" and (flag_entry(arr, arr != np.floor(arr), "non-integer entry {}", path, problems)
+                            or flag_entry(arr, arr >= 2.0**53, "count not below 2**53", path, problems)):
         return None
     return arr
 

@@ -9,13 +9,14 @@ Each model advances a window of its ``q`` most recent composite states
 * Log-linear: ``mu_t = d + sum_j A_j mu_{t-j} + sum_j B_j log(1 + y_{t-j})``,
   ``lambda_t = exp(mu_t)``; coefficients may be negative.
 
-Specs are immutable and shareable.  A block of replicates, each with one or
-two coupled chains, advances in lockstep through :func:`step`: its state is
-one ``(chains, replicates, k)`` array of companion rows (see
-:func:`validate_window`).  The log-linear row holds mu and ``log(1 + y)``, the
-coordinates in which that model contracts, so coupling distances are
-measured where contraction actually happens.  A single chain steps its 1-D
-row through :func:`row_step`, with the same arithmetic and draws.
+Specs are immutable and shareable, and compare by identity, as every record
+that holds arrays or mappings does.  :func:`step` advances a state of
+companion rows (see :func:`validate_window`): one chain's 1-D row, or a
+block of replicates, each with one or two coupled chains, in lockstep as one
+``(chains, replicates, k)`` array, with the same arithmetic and draws.  The
+log-linear row holds mu and ``log(1 + y)``, the coordinates in which that
+model contracts, so coupling distances are measured where contraction
+actually happens.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _intensity_fields(spec, offset: str, matrices: tuple[str, str], rule: str) -
         object.__setattr__(spec, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImmigrationSpec:
     """The i.i.d. additive innovation of a GINAR process.
 
@@ -196,7 +197,7 @@ class ImmigrationSpec:
         return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GinarSpec:
     """Thinning-based autoregression of order ``q`` in dimension ``p``.
 
@@ -235,7 +236,7 @@ class GinarSpec:
         return _freeze(np.stack(self.mean_matrices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IngarchSpec:
     """Linear-intensity model: counts conditionally Poisson given the past.
 
@@ -255,7 +256,7 @@ class IngarchSpec:
         _intensity_fields(self, "intensity_offset", ("lambda_matrices", "count_matrices"), "nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogLinearSpec:
     """Log-linear intensity model; coefficient signs are unrestricted.
 
@@ -389,27 +390,6 @@ def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.
     return drift, counts, lam
 
 
-def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
-    """Uniform one-step dispatch over the three families for a block state.
-
-    Returns ``(new_state, counts, intensity)``: counts and intensity have
-    shape ``(chains, replicates, p)`` and ``intensity`` is the conditional
-    mean of the counts given the window.  Every chain of a replicate
-    consumes the same noise, drawn into the state mapped by ``spec.stepping``.
-    """
-    matrix, offset = spec.stepping
-    if state.shape[2:] != offset.shape or (state.dtype.kind == "i") != isinstance(spec, GinarSpec):
-        raise ConfigurationError(f"block state does not match a {spec.kind} model")
-    # einsum adds the products in order, unfused, so p = q = 1 keeps the bits of
-    # d + (A lambda + B y); BLAS matmul fuses them, an ulp off in one step in ten.
-    drift = np.einsum("crk,jk->crj", state, matrix) + offset
-    if isinstance(spec, GinarSpec):
-        return ginar_block_step(spec, state, drift, rng)
-    if isinstance(spec, IngarchSpec):
-        return ingarch_block_step(spec, drift, rng)
-    return loglinear_block_step(spec, drift, rng)
-
-
 def _row_counts(rng: np.random.Generator, dependence: Dependence, lam: list) -> list:
     """One chain's counts at the intensities ``lam``, drawn as :func:`shared_counts` draws a block of one.
 
@@ -423,13 +403,13 @@ def _row_counts(rng: np.random.Generator, dependence: Dependence, lam: list) -> 
     return shared_counts(rng, dependence, np.array(lam).reshape(1, 1, -1))[0, 0].tolist()
 
 
-def ginar_row_step(spec: GinarSpec, row: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
+def ginar_chain_step(spec: GinarSpec, row: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
     """:func:`ginar_block_step` on a ``(1, 1, k)`` view of one chain's row: there the draws are the cost."""
     lags, counts, mean = ginar_block_step(spec, row.reshape(1, 1, -1), drift.reshape(1, 1, -1), rng)
     return lags[0, 0], counts[0, 0].tolist(), mean[0, 0].tolist()
 
 
-def ingarch_row_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
+def ingarch_chain_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
     """:func:`ingarch_block_step` for one chain's row, with lambda read once as floats."""
     p, q = spec.p, spec.q
     lam = drift[:p].tolist()
@@ -439,7 +419,7 @@ def ingarch_row_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Genera
     return drift, counts, lam
 
 
-def loglinear_row_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
+def loglinear_chain_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
     """:func:`loglinear_block_step` for one chain's row, with mu read once as floats."""
     p, q = spec.p, spec.q
     if not all(mu <= MU_LIMIT for mu in drift[:p].tolist()):  # also true for NaN
@@ -450,21 +430,32 @@ def loglinear_row_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Ge
     return drift, counts, lam
 
 
-def row_step(spec: ModelSpec, row: np.ndarray, rng: np.random.Generator):
-    """One transition of a single chain's companion row (see :func:`validate_window`).
+def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
+    """One transition of the model's random map; the state's rank picks the regime.
 
-    The same arithmetic and draws as :func:`step` on a block of one chain and
-    one replicate, so the bits are the same, without the block's array
-    plumbing.  Returns ``(new_row, counts, intensity)``: the counts and the
-    conditional mean are lists of ``p`` Python numbers.
+    A 1-D state is one chain's companion row from :func:`validate_window`,
+    not checked, since a check would cost every step.  It returns
+    ``(new_row, counts, intensity)``: the row an array, the others lists of
+    ``p`` Python numbers.  A 3-D state is a :func:`block_state`, checked
+    against the model; a state of any other rank fails that check.  It
+    returns ``(new_state, counts, intensity)``, all arrays, counts and
+    intensity of shape ``(chains, replicates, p)``; every chain of a
+    replicate consumes the same noise.  ``intensity`` is the conditional mean
+    of the counts given the window.  A row takes the arithmetic and draws of
+    a block of one, so its bits are the same.
     """
     matrix, offset = spec.stepping
-    drift = np.einsum("k,jk->j", row, matrix) + offset  # einsum, as in step
+    row = state.ndim == 1
+    if not row and (state.shape[2:] != offset.shape or (state.dtype.kind == "i") != isinstance(spec, GinarSpec)):
+        raise ConfigurationError(f"block state does not match a {spec.kind} model")
+    # einsum adds the products in order, unfused, so p = q = 1 keeps the bits of
+    # d + (A lambda + B y); BLAS matmul fuses them, an ulp off in one step in ten.
+    drift = np.einsum("k,jk->j" if row else "crk,jk->crj", state, matrix) + offset
     if isinstance(spec, GinarSpec):
-        return ginar_row_step(spec, row, drift, rng)
+        return (ginar_chain_step if row else ginar_block_step)(spec, state, drift, rng)
     if isinstance(spec, IngarchSpec):
-        return ingarch_row_step(spec, drift, rng)
-    return loglinear_row_step(spec, drift, rng)
+        return (ingarch_chain_step if row else ingarch_block_step)(spec, drift, rng)
+    return (loglinear_chain_step if row else loglinear_block_step)(spec, drift, rng)
 
 
 def window_distance(state: np.ndarray) -> np.ndarray:

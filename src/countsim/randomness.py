@@ -106,10 +106,15 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_mix((master_seed, block))))
 
 
-#: Draws of at most this many entries loop the generator's scalar call.  An
-#: array call spends about 12 us on its argument checks, which a scalar call
-#: skips; a Poisson loop breaks even near 8-12 entries, a broadcast binomial
-#: one lower (2 vCPUs, numpy 2.4).
+#: Draws of at most this many entries loop the generator's scalar call: today
+#: a GINAR single path's immigration and thinning, and blocks of at most 8
+#: entries (intensity rows draw their own scalar calls).  An array call spends
+#: about 12 us on its argument checks, which a scalar call skips; a Poisson
+#: loop breaks even near 8-12 entries, a broadcast binomial one lower.  With the
+#: limit at 0, in two runs of 8 alternating fresh-process pairs (2 vCPUs,
+#: numpy 2.4), a GINAR path went from 22-28 to 36-41 us/step at p = 1 and from
+#: 29 to 35-58 at p = 2, and an 8-replicate p = 1 moments block from 38-46 to
+#: 46-58 us/step, so the scalar calls stay.
 SCALAR_DRAW_LIMIT = 8
 
 
@@ -400,7 +405,7 @@ class PoissonProcessPath:
         return count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dependence:
     """Joint law of the per-coordinate unit Poisson noise.
 
@@ -443,20 +448,6 @@ class Dependence:
         problems.raise_if_any()
         object.__setattr__(self, "correlation", corr)
         object.__setattr__(self, "cholesky", chol)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dependence):
-            return NotImplemented
-        if self.scheme != other.scheme:
-            return False
-        if self.correlation is None:
-            return other.correlation is None
-        return other.correlation is not None and np.array_equal(self.correlation, other.correlation)
-
-    def __repr__(self) -> str:
-        if self.scheme == "gaussian":
-            return f"Dependence('gaussian', correlation={self.correlation.tolist()})"
-        return f"Dependence({self.scheme!r})"
 
 
 class CountNoise:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -49,7 +50,7 @@ def write(tmp_path, text, name="config.yaml"):
 def test_minimal_config_fills_defaults():
     config = parse_config(MINIMAL_CHECK)
     assert config.seed == 1
-    assert config.model.dependence == Dependence("independent")
+    assert (config.model.dependence.scheme, config.model.dependence.correlation) == ("independent", None)
     assert config.output.directory == "out"
     assert config.output.csv is True
 
@@ -250,6 +251,23 @@ def test_window_counts_must_be_integers_and_numbers():
         assert err.value.problems == [f"experiment.window_b.{fragment}"]
 
 
+def test_counts_past_2_53_are_refused_by_entry_in_one_pass():
+    # A float holds every integer below 2**53 exactly and no count past it is needed;
+    # 10**19 no int64 holds, and 2**53 + 1 would round to 2**53.
+    raw = plain(parse_config((CONFIG_DIR / "ginar_couple.yaml").read_text(encoding="utf-8")))
+    raw["experiment"]["window_a"]["counts"] = [[10**19, 0]]
+    raw["experiment"]["window_b"]["counts"] = [[0, 2**53 + 1]]
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert err.value.problems == ["experiment.window_a.counts[0][0]: count not below 2**53",
+                                  "experiment.window_b.counts[0][1]: count not below 2**53"]
+    raw = plain(parse_config((CONFIG_DIR / "ginar_simulate.yaml").read_text(encoding="utf-8")))
+    raw["model"]["immigration"] = {"family": "constant", "values": [1e19]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert err.value.problems == ["model.immigration.values[0]: count not below 2**53"]
+
+
 def test_non_numeric_matrix_is_a_problem():
     raw = yaml.safe_load(MINIMAL_CHECK)
     raw["model"]["count_matrices"] = [[["x"]]]
@@ -285,6 +303,26 @@ def test_gaussian_dependence_round_trip():
     raw["model"]["dependence"]["correlation"] = [[1.0, 2.0], [2.0, 1.0]]
     with pytest.raises(ConfigError):
         parse_config(yaml.safe_dump(raw))
+
+
+def _records(value):
+    """``value`` and every record among its fields, depth first."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _records(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+def test_records_of_every_shipped_config_compare_and_hash(path):
+    # Records that hold arrays or mappings compare by identity; none raises on == or hash.
+    text = path.read_text(encoding="utf-8")
+    first, second = (list(_records(parse_config(text))) for _ in range(2))
+    assert [type(r) for r in first] == [type(r) for r in second]
+    for a, b in zip(first, second):
+        hash(a)
+        assert a == a
+        assert (a == b) in (True, False)
 
 
 # --- running the front end -------------------------------------------------------

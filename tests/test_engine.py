@@ -58,6 +58,15 @@ def test_simulate_is_reproducible():
     assert not np.array_equal(a.counts, c.counts)
 
 
+def test_result_records_compare_by_identity():
+    spec = stationary_2d()
+    window = default_window(spec)
+    for make in (lambda: simulate(spec, 5, 0), lambda: couple(spec, 10, window, window)):
+        record = make()
+        hash(record)
+        assert record == record and record != make()
+
+
 def test_ginar_scalar_long_run_mean():
     spec = GinarSpec(1, 1, ([[0.5]],), "bernoulli", ImmigrationSpec("poisson", [1.0]))
     path = simulate(spec, 200000, 1000, master_seed=11)

@@ -16,7 +16,6 @@ from countsim.models import (
     default_window,
     ingarch_intensity,
     loglinear_mu,
-    row_step,
     step,
     validate_window,
     window_distance,
@@ -61,6 +60,21 @@ def test_constant_immigration_requires_integers():
         ImmigrationSpec("constant", [1.5])
     imm = ImmigrationSpec("constant", [2.0])
     assert np.array_equal(imm.draw(make_stream(0, 0, 0)), [2])
+
+
+@pytest.mark.parametrize("value", [10**19, 1e19, 2**53, 2**53 + 1])
+def test_counts_past_2_53_are_refused_by_entry(value):
+    # 10**19 became the row [-2**63] and 2**53 + 1 was read as 2**53.
+    spec = ginar_2d()
+    for build, problem in ((lambda: validate_window(spec, {"counts": [[0, value]]}), "counts[0][1]"),
+                           (lambda: couple(spec, 10, default_window(spec), {"counts": [[value, 0]]}), "counts[0][0]"),
+                           (lambda: ImmigrationSpec("constant", [1, value]), "values[1]"),
+                           (lambda: GinarSpec(1, 1, ([[0.5]],), immigration={"family": "constant", "values": [value]}),
+                            "immigration.values[0]")):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.problems == [f"{problem}: count not below 2**53"]
+    assert validate_window(spec, {"counts": [[0, 2**53 - 1]]}).tolist() == [0, 2**53 - 1]
 
 
 def test_immigration_families_mean():
@@ -377,6 +391,9 @@ def test_step_rejects_mismatched_state():
     wide = IngarchSpec(2, 1, [1.0, 1.0], (np.zeros((2, 2)),), (np.zeros((2, 2)),))
     with pytest.raises(ConfigurationError):
         step(ispec, start(wide), block_rng(1, 0))
+    for state in (np.array(1.0), start(ispec)[0]):  # rank 0 and rank 2: neither a row nor a block
+        with pytest.raises(ConfigurationError):
+            step(ispec, state, block_rng(1, 0))
 
 
 _IDENTITY_2D = ([[1.0, 0.0], [0.0, 1.0]],)
@@ -399,7 +416,7 @@ def _loglinear_nan_at(coordinate: int) -> LogLinearSpec:
 ])
 def test_row_step_refuses_what_the_block_step_refuses(spec, row):
     with pytest.raises(DivergenceError) as by_row:
-        row_step(spec, np.array(row), block_rng(1, 0))
+        step(spec, np.array(row), block_rng(1, 0))
     with pytest.raises(DivergenceError) as by_block:
         step(spec, block_state([np.array(row)]), block_rng(1, 0))
     assert str(by_row.value) == str(by_block.value)

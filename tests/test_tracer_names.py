@@ -32,6 +32,7 @@ def test_tracer_patches_resolve_and_restore(monkeypatch):
     try:
         spec = IngarchSpec(1, 1, [1.0], ([[0.3]],), ([[0.5]],))
         path = countsim.engine.simulate(spec, 20, 5, master_seed=1)
+        assert [tracer.SPAN_NAMES[k] for k in rec.kind].count("models.step") == 25  # one span per step
         ens = countsim.engine.couple(spec, 10, default_window(spec),
                                      {"counts": [[4]], "intensities": [[3.0]]}, master_seed=1, replicate_id=2)
     finally:
