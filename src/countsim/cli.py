@@ -147,16 +147,14 @@ def _run_couple(config: ExperimentConfig, out_dir: str, jobs: int):
         config.model, exp.n, exp.window_a, exp.window_b,
         master_seed=config.seed, replicates=exp.replicates, jobs=jobs,
     )
-    final = float(ensemble.mean_distances[-1])
-    results = {**plain(ensemble), "final_mean_distance": plain(final)}
     rate = ensemble.fitted_rate
     rate_text = f"{rate:.6f}" if isinstance(rate, float) else rate
     summary = (
         f"coupled {exp.replicates} replicates for {exp.n} iterations: "
         f"initial distance {ensemble.initial_distance:.6g}, "
-        f"final mean {final:.6g}, fitted rate {rate_text}"
+        f"final mean {ensemble.final_mean_distance:.6g}, fitted rate {rate_text}"
     )
-    return results, summary, []
+    return plain(ensemble), summary, []
 
 
 def _text(value: float, spec: str) -> str:

@@ -112,12 +112,12 @@ class StationarityError(ValueError):
 class DivergenceError(RuntimeError):
     """A simulated trajectory left the numerically representable range.
 
-    ``time_index`` is the step at which the blow-up was detected, when known.
+    ``time_index`` is the absolute index of the step that left it, burn-in
+    included, set by the engine's one run loop; None when the error did not
+    come through that loop.
     """
 
-    def __init__(self, message: str, time_index: int | None = None):
-        super().__init__(message)
-        self.time_index = time_index
+    time_index: int | None = None
 
     def __str__(self) -> str:
         base = super().__str__()

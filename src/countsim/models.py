@@ -177,6 +177,8 @@ class ImmigrationSpec:
             problems.add("family", f"expected one of {IMMIGRATION_FAMILIES}, got {self.family!r}")
         rule = "count" if self.family == "constant" else "nonnegative"
         vals = checked_array(self.values, (None,), "values", problems, rule)
+        if vals is not None:
+            flag_entry(vals, vals > INTENSITY_LIMIT, f"mean {{}} exceeds {INTENSITY_LIMIT:g}", "values", problems)
         problems.raise_if_any()
         object.__setattr__(self, "values", _freeze(vals))
 
@@ -348,15 +350,27 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
 
     Returns ``(state, counts, mean)``; ``mean`` is the conditional mean
     ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.  Lags stay
-    int64, so thinning reads them exactly.
+    int64, so thinning reads them exactly.  The range check, the same for
+    every counting family, refuses a mean above :data:`COUNT_LIMIT` before
+    any draw (Poisson counting's thinning mean, an intensity, also meets the
+    intensity limit).  The int64 sums of the draws then stay below 2**64, so
+    a sum past 2**63, which a geometric tail can still reach, shows as a
+    negative count; that, and a draw that refuses its parameters (geometric
+    counting means past about 8e17 do at any count), are divergences too.
     """
     p = spec.p
-    counts = spec.immigration.sample(rng, state.shape[1]) + shared_thinning(
-        rng, spec.counting_family, spec.stacked_means, state.reshape(state.shape[:2] + (spec.q, p)))
-    if counts.max() > COUNT_LIMIT:
-        raise DivergenceError("counts exceeded the 64-bit safe range")  # the only guard GINAR has
+    mean = drift[:, :, :p]
+    if mean.max() > COUNT_LIMIT:
+        raise DivergenceError("mean counts exceeded the 64-bit safe range")
+    try:
+        counts = spec.immigration.sample(rng, state.shape[1]) + shared_thinning(
+            rng, spec.counting_family, spec.stacked_means, state.reshape(state.shape[:2] + (spec.q, p)))
+    except ValueError as exc:
+        raise DivergenceError(f"a draw refused its parameters: {exc}") from exc
+    if counts.min() < 0:
+        raise DivergenceError("counts wrapped past the 64-bit range")
     lags = counts if spec.q == 1 else np.concatenate((counts, state[:, :, :-p]), axis=2)
-    return lags, counts, drift[:, :, :p]
+    return lags, counts, mean
 
 
 def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):

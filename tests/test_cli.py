@@ -409,39 +409,30 @@ def test_plain_is_one_rule_for_every_record():
     assert plain((1, np.array([-math.inf, 2.5]))) == [1, [None, 2.5]]
 
 
-def test_every_shipped_config_runs_quickly(tmp_path):
-    commands = {
-        "check": "check", "simulate": "simulate",
-        "couple": "couple", "moments": "moments",
-    }
-    for path in sorted(CONFIG_DIR.glob("*.yaml")):
-        config = parse_config(path.read_text(encoding="utf-8"))
-        command = commands[config.experiment.kind]
-        start = time.perf_counter()
-        code = cli.main([command, "--config", str(path),
-                         "--out", str(tmp_path / path.stem), "--jobs", "4"])
-        elapsed = time.perf_counter() - start
-        assert code == 0, path.name
-        assert elapsed < 60.0, f"{path.name} took {elapsed:.1f}s"
-
-
 def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
-    # Every output file of every shipped config at --seed 7 --jobs 1, by
-    # SHA-256.  numpy does not promise the Generator stream across releases,
-    # so the manifest names the version it was made with.  A numpy upgrade,
-    # or a change that moves bits on purpose, regenerates it from the digests
-    # the failing assertion prints.
+    # Every output file of every shipped config at --seed 7, by SHA-256, under
+    # --jobs 1 and under --jobs 4: outputs do not depend on the worker count,
+    # and every run stays within 60 s.  numpy does not promise the Generator
+    # stream across releases, so the manifest names the version it was made
+    # with.  A numpy upgrade, or a change that moves bits on purpose,
+    # regenerates it from the digests the failing assertion prints.
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert np.__version__ == manifest["numpy"], \
         f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
-    digests = {}
-    for path in sorted(CONFIG_DIR.glob("*.yaml")):
-        out = tmp_path / path.stem
-        command = parse_config(path.read_text(encoding="utf-8")).experiment.kind
-        assert cli.main([command, "--config", str(path), "--seed", "7", "--jobs", "1", "--out", str(out)]) == 0
-        for item in sorted(out.iterdir()):
-            digests[f"{path.stem}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
-    assert digests == manifest["digests"], "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
+    for jobs in ("1", "4"):
+        digests = {}
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            out = tmp_path / jobs / path.stem
+            command = parse_config(path.read_text(encoding="utf-8")).experiment.kind
+            start = time.perf_counter()
+            code = cli.main([command, "--config", str(path), "--seed", "7", "--jobs", jobs, "--out", str(out)])
+            elapsed = time.perf_counter() - start
+            assert code == 0, path.name
+            assert elapsed < 60.0, f"{path.name} took {elapsed:.1f}s at --jobs {jobs}"
+            for item in sorted(out.iterdir()):
+                digests[f"{path.stem}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
+        assert digests == manifest["digests"], \
+            f"outputs moved at --jobs {jobs}; their digests are\n" + json.dumps(digests, indent=2)
 
 
 def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch):
@@ -500,6 +491,35 @@ def test_strict_blocks_other_experiments_too(tmp_path):
     assert code == 2
     code = cli.main(["couple", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "2"])
     assert code == 0
+
+
+WRAPPING_COUPLE = """
+seed: 1
+model:
+  kind: ginar
+  p: 4
+  q: 1
+  mean_matrices:
+    - [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
+  counting_family: bernoulli
+  immigration: {family: constant, values: [0, 0, 0, 0]}
+experiment:
+  kind: couple
+  n: 20
+  replicates: 1
+  window_a: {counts: [[4503599627370496, 4503599627370496, 4503599627370496, 4503599627370496]]}
+  window_b: {counts: [[0, 0, 0, 0]]}
+"""
+
+
+def test_ginar_counts_past_64_bits_are_a_divergence(tmp_path, capsys):
+    # Each count quadruples from 2**52; the sums of four 2**62 terms at t = 5
+    # would wrap to 0 and look like coalescence.
+    code = cli.main(["couple", "--config", write(tmp_path, WRAPPING_COUPLE), "--out", str(tmp_path / "w"),
+                     "--jobs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory diverged: ") and err.rstrip().endswith("(at time index 5)")
 
 
 def test_value_error_from_the_engine_exits_with_a_message(tmp_path, capsys, monkeypatch):

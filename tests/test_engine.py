@@ -121,6 +121,12 @@ def test_divergence_index_is_the_first_step_that_fails():
     pytest.param(GinarSpec(1, 1, ([[1.5]],), "poisson", ImmigrationSpec("poisson", [1.0])), 3,
                  "intensity exceeded 1e", id="ginar-poisson-thinning-mean"),
     pytest.param(LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],)), 8, "log intensity exceeded", id="loglinear-mu"),
+    # Five lag x column terms of up to 2**62 each: their int64 sum would wrap.
+    pytest.param(GinarSpec(5, 1, ([[1.0] * 5] * 5,), "bernoulli", ImmigrationSpec("constant", [1] * 5)), 3,
+                 "mean counts exceeded the 64-bit safe range", id="ginar-bernoulli-sum-of-terms"),
+    # A stationary model whose geometric immigration tail passes 2**63.
+    pytest.param(GinarSpec(1, 1, ([[0.1]],), "bernoulli", ImmigrationSpec("geometric", [1e18])), 33,
+                 "counts wrapped past the 64-bit range", id="ginar-geometric-immigration-tail"),
 ])
 def test_each_family_fails_at_its_range_check(spec, seed, message):
     with pytest.raises(DivergenceError, match=message) as err:
@@ -131,6 +137,32 @@ def test_each_family_fails_at_its_range_check(spec, seed, message):
     with pytest.raises(DivergenceError, match=message) as err:
         simulate(spec, k + 1, 0, master_seed=seed)
     assert err.value.time_index == k
+
+
+@pytest.mark.parametrize("family", ["poisson", "geometric"])
+def test_immigration_means_past_the_intensity_limit_are_refused(family):
+    with pytest.raises(ConfigError, match=r"immigration\.values\[0\]: mean 1e\+19 exceeds 1e\+18"):
+        GinarSpec(1, 1, ([[0.5]],), "bernoulli", {"family": family, "values": [1e19]})
+
+
+def test_a_draw_that_refuses_its_parameters_is_a_divergence():
+    # numpy refuses a negative binomial whose Poisson mixing could pass its limit.
+    spec = GinarSpec(1, 1, ([[1e18]],), "geometric", ImmigrationSpec("constant", [1]))
+    with pytest.raises(DivergenceError, match="a draw refused its parameters") as err:
+        simulate(spec, 10, 0)
+    assert err.value.time_index == 0
+
+
+def test_a_divergence_in_a_pool_worker_keeps_its_index():
+    spec = IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],))
+    window = {"counts": [[4]], "intensities": [[3.0]]}
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(DivergenceError) as err:
+            couple_ensemble(spec, 400, default_window(spec), window, master_seed=3, replicates=8, jobs=jobs)
+        errors.append(err.value)
+    assert errors[0].time_index == errors[1].time_index > 0
+    assert str(errors[0]) == str(errors[1])
 
 
 def _block_of_one(spec, T: int, burn_in: int, master_seed: int, replicate_id: int = 0):
