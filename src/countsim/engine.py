@@ -476,6 +476,7 @@ def _block_task(args):
 def _map_blocks(tasks, jobs: int) -> list:
     """Results of the block tasks (see :func:`_block_task`) in block order.
 
+    An error is the first failing block's, in block order, for every ``jobs``.
     With ``jobs > 1`` the blocks run in worker processes, even a single
     block.  For a single block the pool exists only to keep peak RSS down:
     the calling process then never loads ``numpy.random`` or holds a block's
@@ -489,4 +490,4 @@ def _map_blocks(tasks, jobs: int) -> list:
     import multiprocessing
 
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_block_task, tasks)
+        return list(pool.imap(_block_task, tasks))  # map raises the first failure to arrive

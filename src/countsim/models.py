@@ -352,11 +352,10 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
     ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.  Lags stay
     int64, so thinning reads them exactly.  The range check, the same for
     every counting family, refuses a mean above :data:`COUNT_LIMIT` before
-    any draw (Poisson counting's thinning mean, an intensity, also meets the
-    intensity limit).  The int64 sums of the draws then stay below 2**64, so
-    a sum past 2**63, which a geometric tail can still reach, shows as a
-    negative count; that, and a draw that refuses its parameters (geometric
-    counting means past about 8e17 do at any count), are divergences too.
+    any draw, so the int64 sums of the draws stay below 2**64.  A sum past
+    2**63, which a geometric tail can still reach, leaves a negative count;
+    that, and a draw that refuses its parameters (geometric counting means
+    past about 8e17 do at any count), are divergences too.
     """
     p = spec.p
     mean = drift[:, :, :p]

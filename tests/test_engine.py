@@ -153,13 +153,17 @@ def test_a_draw_that_refuses_its_parameters_is_a_divergence():
     assert err.value.time_index == 0
 
 
-def test_a_divergence_in_a_pool_worker_keeps_its_index():
+@pytest.mark.parametrize("replicates", [
+    8,
+    128,  # two blocks; at this seed block 1 diverges at 210, before block 0 at 212
+])
+def test_a_divergence_in_a_pool_worker_keeps_its_index(replicates):
     spec = IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],))
     window = {"counts": [[4]], "intensities": [[3.0]]}
     errors = []
     for jobs in (1, 2):
         with pytest.raises(DivergenceError) as err:
-            couple_ensemble(spec, 400, default_window(spec), window, master_seed=3, replicates=8, jobs=jobs)
+            couple_ensemble(spec, 400, default_window(spec), window, master_seed=9, replicates=replicates, jobs=jobs)
         errors.append(err.value)
     assert errors[0].time_index == errors[1].time_index > 0
     assert str(errors[0]) == str(errors[1])
