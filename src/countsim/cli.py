@@ -3,9 +3,15 @@
 Subcommands ``check``, ``simulate``, ``couple`` and ``moments`` each take a
 config file describing one model and one experiment, run it, print a human
 readable summary and write ``report.json`` (plus ``path.csv`` for simulate)
-into the output directory.  Exit codes: 0 on success, 1 on runtime or
-configuration errors, 2 when ``--strict`` is set and the model's
+into the output directory.  Exit codes: 0 on success, 1 on a usage,
+runtime or configuration error, 2 when ``--strict`` is set and the model's
 stationarity condition fails.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already
+set, before numpy loads, so the process and every ``--jobs`` worker it forks
+run numpy's BLAS on one thread: the parallelism is the worker processes, and
+the largest BLAS call is a product of p*q-sized arrays, so an idle BLAS
+thread pool would only spin.  Importing ``countsim`` alone does not do this.
 """
 
 from __future__ import annotations
@@ -17,13 +23,33 @@ import math
 import os
 import sys
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; an explicit value wins
+
 from . import __version__, analysis, engine
 from .config import ExperimentConfig, parse_config_file, plain
 from .errors import ConfigurationError, DivergenceError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, since 2 is strict mode's code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="countsim",
         description="Simulate and verify multivariate count autoregressions.",
     )
@@ -39,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config's master seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        cmd.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                          help="worker processes for replicate blocks (default: hardware threads); "
                               "no value changes any output")
         cmd.add_argument("--strict", action="store_true",

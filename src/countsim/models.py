@@ -40,10 +40,12 @@ from .errors import (
 from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/tracer.py patches them here)
     COUNTING_FAMILIES,
     INTENSITY_LIMIT,
+    POISSON_LAM_MAX,
     Dependence,
     Stream,
     _draw,
     check_intensities,
+    geometric_mean_refused,
     make_stream,
     shared_counts,
     shared_thinning,
@@ -57,6 +59,13 @@ _MU_EXCEEDED = f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstati
 
 #: GINAR counts above this are refused: thinning needs them exact in 64 bits.
 COUNT_LIMIT = 2**62
+
+#: Counting means a family cannot draw, and the message that refuses them.
+_MEAN_RULES = {
+    "bernoulli": (lambda m: m > 1.0, "mean {} exceeds 1, invalid for the bernoulli family"),
+    "geometric": (geometric_mean_refused,
+                  f"mean {{}} exceeds {POISSON_LAM_MAX / 11:.4g}, past numpy's negative binomial limit"),
+}
 
 IMMIGRATION_FAMILIES = ("poisson", "geometric", "constant")
 
@@ -221,10 +230,10 @@ class GinarSpec:
                         problems) if ok else None
         if self.counting_family not in COUNTING_FAMILIES:
             problems.add("counting_family", f"expected one of {COUNTING_FAMILIES}, got {self.counting_family!r}")
-        elif mats is not None and self.counting_family == "bernoulli":
+        elif mats is not None and self.counting_family in _MEAN_RULES:
+            refused, message = _MEAN_RULES[self.counting_family]
             for idx, m in enumerate(mats):
-                flag_entry(m, m > 1.0, "mean {} exceeds 1, invalid for the bernoulli family",
-                           f"mean_matrices[{idx}]", problems)
+                flag_entry(m, refused(m), message, f"mean_matrices[{idx}]", problems)
         immigration = _nested(ImmigrationSpec, self.immigration, "immigration", problems)
         if ok and immigration is not None and immigration.values.shape != (self.p,):
             problems.add("immigration.values", f"expected a vector of {self.p} numbers")

@@ -51,6 +51,9 @@ COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 #: Intensities above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
 
+#: numpy's Poisson limit: it refuses ``negative_binomial(n, p)`` when ``(1 - p) / p * (n + 10 sqrt(n))`` exceeds it.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 def _splitmix64(x: int) -> int:
     """One SplitMix64 output step (Steele, Lea & Flood constants)."""
@@ -156,6 +159,16 @@ def check_intensities(peak: float) -> None:
     """Refuse an intensity peak past the limit; the draws refuse negative and NaN intensities."""
     if peak > INTENSITY_LIMIT:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
+
+
+def geometric_mean_refused(means: np.ndarray) -> np.ndarray:
+    """Where numpy refuses even one geometric counting term of mean ``means``.
+
+    :func:`shared_thinning` draws ``negative_binomial(max(n, 1), 1 / (1 + m))``
+    for every lag count ``n``, so such a mean fails every step.
+    """
+    p = 1.0 / (1.0 + means)
+    return (1.0 - p) / p * 11.0 > POISSON_LAM_MAX
 
 
 def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:

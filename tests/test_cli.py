@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -462,27 +461,84 @@ def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch)
             f"outputs moved at --jobs {jobs}; their digests are\n" + json.dumps(digests, indent=2)
 
 
+def _child(args, **env):
+    """Run ``python args`` in a fresh process that imports the package this process tests.
+
+    Importing ``countsim.cli`` here set ``OPENBLAS_NUM_THREADS``, so the child
+    gets it only from ``env``.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env={**base, **env})
+
+
 def test_strict_exit_codes_via_subprocess(tmp_path):
     passing = write(tmp_path, MINIMAL_CHECK, "ok.yaml")
     failing = write(tmp_path, MINIMAL_CHECK.replace("[[0.5, 0.4], [0.0, 0.5]]",
                                                     "[[0.9, 0.4], [0.4, 0.9]]"), "bad.yaml")
-    base = [sys.executable, "-m", "countsim.cli"]
-    # The child imports the same package as this process, however it was put on sys.path.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = functools.partial(subprocess.run, capture_output=True, env=env)
+    base = ["-m", "countsim.cli"]
 
-    ok = run(base + ["check", "--config", passing, "--strict", "--out", str(tmp_path / "o1")])
+    ok = _child(base + ["check", "--config", passing, "--strict", "--out", str(tmp_path / "o1")])
     assert ok.returncode == 0
 
-    strict = run(base + ["check", "--config", failing, "--strict", "--out", str(tmp_path / "o2")])
+    strict = _child(base + ["check", "--config", failing, "--strict", "--out", str(tmp_path / "o2")])
     assert strict.returncode == 2
 
-    lax = run(base + ["check", "--config", failing, "--out", str(tmp_path / "o3")])
+    lax = _child(base + ["check", "--config", failing, "--out", str(tmp_path / "o3")])
     assert lax.returncode == 0
 
-    missing = run(base + ["check", "--config", str(tmp_path / "nope.yaml")])
+    missing = _child(base + ["check", "--config", str(tmp_path / "nope.yaml")])
     assert missing.returncode == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check"], "the following arguments are required: --config"),
+    (["check", "--config", "c.yaml", "--jobs", "abc"], "argument --jobs: expected an integer >= 1, got 'abc'"),
+    (["check", "--config", "c.yaml", "--jobs", "0"], "argument --jobs: expected an integer >= 1, got '0'"),
+    (["check", "--config", "c.yaml", "--jobs", "-5"], "argument --jobs: expected an integer >= 1, got '-5'"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_a_usage_error_exits_1_with_its_message(args, message):
+    usage = _child(["-m", "countsim.cli", *args])
+    assert usage.returncode == 1
+    assert message in usage.stderr and "usage: countsim" in usage.stderr
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag):
+    shown = _child(["-m", "countsim.cli", flag])
+    assert shown.returncode == 0 and "countsim" in shown.stdout
+
+
+def test_importing_the_package_loads_no_numpy_until_a_name_is_used():
+    probe = ("import sys, countsim; print('numpy' in sys.modules); "
+             "print(countsim.linalg.__name__, 'numpy' in sys.modules)")
+    child = _child(["-c", probe])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False", "countsim.linalg", "True"]
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    import countsim
+
+    for name in set(countsim.__all__) - {"__version__"}:
+        found = getattr(countsim, name)
+        assert found.__module__.startswith("countsim."), name
+        assert getattr(sys.modules[found.__module__], name) is found, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        countsim.no_such_name
+
+
+_THREADS = "import os, countsim.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+@pytest.mark.parametrize("env, expected", [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(env, expected):
+    child = _child(["-c", _THREADS], **env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == expected
 
 
 def test_strict_blocks_other_experiments_too(tmp_path):

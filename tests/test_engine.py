@@ -146,11 +146,12 @@ def test_immigration_means_past_the_intensity_limit_are_refused(family):
 
 
 def test_a_draw_that_refuses_its_parameters_is_a_divergence():
-    # numpy refuses a negative binomial whose Poisson mixing could pass its limit.
-    spec = GinarSpec(1, 1, ([[1e18]],), "geometric", ImmigrationSpec("constant", [1]))
+    # numpy refuses a negative binomial whose Poisson mixing could pass its limit:
+    # this mean draws one term, but not the two that immigration brings in at step 0.
+    spec = GinarSpec(1, 1, ([[7e17]],), "geometric", ImmigrationSpec("constant", [2]))
     with pytest.raises(DivergenceError, match="a draw refused its parameters") as err:
         simulate(spec, 10, 0)
-    assert err.value.time_index == 0
+    assert err.value.time_index == 1
 
 
 @pytest.mark.parametrize("replicates", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from countsim.engine import couple
+from countsim.engine import couple, simulate
 from countsim.errors import ConfigError, ConfigurationError, DivergenceError
 from countsim.linalg import companion, spectral_radius
 from countsim.models import (
@@ -53,6 +53,16 @@ def test_bernoulli_mean_above_one_rejected_at_construction():
 def test_poisson_family_allows_means_above_one():
     spec = GinarSpec(1, 1, ([[1.5]],), "poisson", ImmigrationSpec("poisson", [1.0]))
     assert spec.counting_family == "poisson"
+
+
+def test_geometric_means_past_numpys_draw_limit_are_refused_by_path():
+    # Every step draws negative_binomial(max(n, 1), 1 / (1 + m)), which numpy
+    # refuses past m = 8.385e17 even for n = 1.
+    immigration = ImmigrationSpec("constant", [1])
+    spec = GinarSpec(1, 1, ([[8.38e17]],), "geometric", immigration)
+    assert simulate(spec, 2, 0).counts[0, 0] == 1
+    with pytest.raises(ConfigError, match=r"mean_matrices\[0\]\[0\]\[0\]: mean 8.39e\+17 exceeds 8.385e\+17"):
+        GinarSpec(1, 1, ([[8.39e17]],), "geometric", immigration)
 
 
 def test_constant_immigration_requires_integers():
