@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the experiment config")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config's master seed")
+        cmd.add_argument("--seed", type=int, default=None,
+                         help="override the config's master seed, an integer in [0, 2**64)")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                          help="worker processes for replicate blocks (default: hardware threads); "
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config_file(args.config)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -88,8 +91,6 @@ def main(argv=None) -> int:
         print(f"error: config describes a {config.experiment.kind!r} experiment, "
               f"but the {args.command!r} subcommand was invoked", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
 
     try:
         return run(config, out_dir=args.out, jobs=args.jobs, strict=args.strict)
@@ -98,6 +99,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the run asks for more memory than this host has", file=sys.stderr)
         return 1
 
 

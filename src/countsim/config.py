@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .engine import CheckExperiment, CoupleExperiment, MomentsExperiment, SimulateExperiment
-from .errors import ConfigError, Problems, checked_int
+from .errors import ConfigError, Problems
 from .models import (
     WINDOW_KEYS,
     GinarSpec,
@@ -35,6 +35,7 @@ from .models import (
     from_mapping,
     validate_window,
 )
+from .randomness import checked_lineage
 
 MODEL_SPECS = {"ginar": GinarSpec, "ingarch": IngarchSpec, "loglinear": LogLinearSpec}
 EXPERIMENTS = {"check": CheckExperiment, "simulate": SimulateExperiment,
@@ -79,7 +80,7 @@ class ExperimentConfig:
         if self.seed is None:
             problems.add("seed", "seed required")
         else:
-            checked_int(self.seed, "seed", problems)
+            checked_lineage(self.seed, "seed", problems)
         model = _kinded(MODEL_SPECS, self.model, "model", problems, q=1)
         experiment = self.experiment
         if isinstance(experiment, Mapping) and experiment.get("kind") == "couple":

@@ -36,7 +36,7 @@ from .models import (
     validate_window,
     window_distance,
 )
-from .randomness import block_rng
+from .randomness import block_rng, check_lineage
 
 DEFAULT_BURN_IN = 1000
 DEFAULT_REPLICATES = 32
@@ -44,6 +44,10 @@ DEFAULT_REPLICATES = 32
 #: Replicates advanced in lockstep on one generator.  A constant, not an
 #: option: outputs depend on the partition into blocks.
 BLOCK_SIZE = 64
+
+#: Run lengths (``T + burn_in``, ``n``) and replicate counts lie below
+#: ``2**RUN_BITS``, the int64 of numpy's shapes and of the step index.
+RUN_BITS = 63
 
 _CSV_CHUNK_ROWS = 4096
 
@@ -73,6 +77,13 @@ def _lockstep(spec: ModelSpec, state, rng: np.random.Generator, burn_in: int, st
             yield result
 
 
+def _path_length(T, burn_in, problems: Problems) -> None:
+    """Check ``T`` and ``burn_in``, and that a path's ``T + burn_in`` steps number below ``2**RUN_BITS``."""
+    if all([checked_int(T, "T", problems, 1, RUN_BITS), checked_int(burn_in, "burn_in", problems, 0, RUN_BITS)]) \
+            and T + burn_in >= 1 << RUN_BITS:
+        problems.add("burn_in", f"expected T + burn_in below 2**{RUN_BITS}, got {T + burn_in}")
+
+
 @dataclass(frozen=True)
 class CheckExperiment:
     """Evaluate the model's conditions; takes no run parameters."""
@@ -90,8 +101,7 @@ class SimulateExperiment:
 
     def __post_init__(self):
         problems = Problems()
-        checked_int(self.T, "T", problems, 1)
-        checked_int(self.burn_in, "burn_in", problems, 0)
+        _path_length(self.T, self.burn_in, problems)
         problems.raise_if_any()
 
 
@@ -112,8 +122,8 @@ class CoupleExperiment:
 
     def __post_init__(self):
         problems = Problems()
-        checked_int(self.n, "n", problems, 10)
-        checked_int(self.replicates, "replicates", problems, 1)
+        checked_int(self.n, "n", problems, 10, RUN_BITS)
+        checked_int(self.replicates, "replicates", problems, 1, RUN_BITS)
         problems.raise_if_any()
 
 
@@ -139,9 +149,8 @@ class MomentsExperiment:
             if arr is not None and not (arr.size and holds(arr).all()):
                 problems.add(name, f"expected a nonempty list of finite numbers {bound}")
             values[name] = None if arr is None else tuple(arr.tolist())
-        checked_int(self.T, "T", problems, 1)
-        checked_int(self.burn_in, "burn_in", problems, 0)
-        checked_int(self.replicates, "replicates", problems, 1)
+        _path_length(self.T, self.burn_in, problems)
+        checked_int(self.replicates, "replicates", problems, 1, RUN_BITS)
         problems.raise_if_any()
         for name, value in values.items():
             object.__setattr__(self, name, value)
@@ -194,6 +203,7 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
     the trajectory leaves the representable range.
     """
     SimulateExperiment(T, burn_in)  # checks the run parameters
+    check_lineage(master_seed=master_seed, replicate_id=replicate_id)
     row = validate_window(spec, default_window(spec))
     counts, intensities = array("q"), array("d")  # int64 and float64, row after row
     for _, y, intensity in _lockstep(spec, row, block_rng(master_seed, replicate_id), burn_in, T):
@@ -296,6 +306,7 @@ def couple(spec: ModelSpec, n: int, window_a, window_b,
     defines the stationary solution.
     """
     CoupleExperiment(n, window_a, window_b, replicates=1)  # checks the run parameters
+    check_lineage(master_seed=master_seed, replicate_id=replicate_id)
     return _coupling(spec, n, window_a, window_b, master_seed, [(replicate_id, 1)], jobs=1)
 
 
@@ -308,6 +319,7 @@ def couple_ensemble(spec: ModelSpec, n: int, window_a, window_b, master_seed: in
     curve.  With ``jobs > 1`` blocks run in up to ``jobs`` worker processes.
     """
     CoupleExperiment(n, window_a, window_b, replicates)  # checks the run parameters
+    check_lineage(master_seed=master_seed)
     return _coupling(spec, n, window_a, window_b, master_seed, _blocks(replicates), jobs)
 
 
@@ -350,9 +362,12 @@ def _batch_lengths(T: int) -> np.ndarray:
     """Lengths of the ``isqrt(T)`` consecutive batches of a path of ``T`` steps.
 
     Batch ``i`` ends at ``(i + 1) * T // isqrt(T)``, so lengths differ by at most one.
+    That is computed as ``(i + 1) * (T // b) + (i + 1) * (T % b) // b``, since
+    ``(i + 1) * T`` wraps past int64 once ``T`` passes about 2**42.
     """
     batches = math.isqrt(T)
-    return np.diff(np.arange(1, batches + 1) * T // batches, prepend=0)
+    whole, rest = divmod(T, batches)
+    return whole + np.diff(np.arange(1, batches + 1) * rest // batches, prepend=0)
 
 
 def _relative_se(log_means: np.ndarray) -> float:
@@ -440,6 +455,7 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     infinite and their standard errors NaN, without a warning.
     """
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
+    check_lineage(master_seed=master_seed)
     tasks = [(_moment_block, spec, (exp,), size, master_seed, b) for b, size in _blocks(replicates)]
     blocks = _map_blocks(tasks, jobs)
     total = replicates * T

@@ -96,11 +96,19 @@ def flag_entry(arr: np.ndarray, mask: np.ndarray, message: str, path: str, probl
     return bool(len(bad))
 
 
-def checked_int(value, path: str, problems: Problems, minimum: int | None = None) -> bool:
-    """Whether ``value`` is an integer (booleans are not) of at least ``minimum``; files a problem if not."""
+def checked_int(value, path: str, problems: Problems, minimum: int | None = None, bits: int | None = None) -> bool:
+    """Whether ``value`` is an integer (booleans are not) of at least ``minimum``; files a problem if not.
+
+    With ``bits`` it must also lie in ``[minimum, 2**bits)``, where no
+    ``minimum`` means 0.
+    """
     if isinstance(value, bool) or not isinstance(value, Integral) or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         problems.add(path, f"expected an integer{bound}, got {value!r}")
+        return False
+    low = minimum or 0
+    if bits is not None and not low <= value < 1 << bits:
+        problems.add(path, f"expected an integer in [{low}, 2**{bits}), got {value!r}")
         return False
     return True
 

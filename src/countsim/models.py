@@ -13,7 +13,9 @@ Specs are immutable and shareable, and compare by identity, as every record
 that holds arrays or mappings does.  :func:`step` advances a state of
 companion rows (see :func:`validate_window`): one chain's 1-D row, or a
 block of replicates, each with one or two coupled chains, in lockstep as one
-``(chains, replicates, k)`` array, with the same arithmetic and draws.  The
+``(chains, replicates, k)`` array, with the same arithmetic and draws.  Only
+a row of independent Poisson counts has a step of its own, one scalar call
+per count; every other row runs as a block of one.  The
 log-linear row holds mu and ``log(1 + y)``, the coordinates in which that
 model contracts, so coupling distances are measured where contraction
 actually happens.
@@ -44,6 +46,7 @@ from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/trace
     Dependence,
     Stream,
     _draw,
+    _filled,
     check_intensities,
     geometric_mean_refused,
     make_stream,
@@ -202,9 +205,9 @@ class ImmigrationSpec:
         """One vector, or a ``(replicates, p)`` array of independent ones."""
         shape = self.values.shape if replicates is None else (replicates,) + self.values.shape
         if self.family == "poisson":
-            return _draw(rng.poisson, self.values, size=shape)
+            return _draw(rng.poisson, _filled(self.values, shape))
         if self.family == "geometric":
-            return _draw(rng.geometric, 1.0 / (1.0 + self.values), size=shape) - 1
+            return _draw(rng.geometric, _filled(1.0 / (1.0 + self.values), shape)) - 1
         return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 
@@ -381,7 +384,7 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
     return lags, counts, mean
 
 
-def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
+def ingarch_block_step(spec: IngarchSpec, state: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
     """One linear-intensity transition of a block; returns ``(state, counts, lambda)``.
 
     The one range check is lambda <= 1e18, which keeps the counts far below
@@ -395,7 +398,7 @@ def ingarch_block_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Gene
     return drift, counts, lam
 
 
-def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
+def loglinear_block_step(spec: LogLinearSpec, state: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
     """One log-linear transition of a block; returns ``(state, counts, lambda)``.
 
     Raises :class:`DivergenceError` if a component of mu is NaN or exceeds :data:`MU_LIMIT`,
@@ -412,44 +415,32 @@ def loglinear_block_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.
     return drift, counts, lam
 
 
-def _row_counts(rng: np.random.Generator, dependence: Dependence, lam: list) -> list:
-    """One chain's counts at the intensities ``lam``, drawn as :func:`shared_counts` draws a block of one.
-
-    Independent counts are one scalar Poisson call per entry, in order: the
-    calls ``_draw`` makes up to ``SCALAR_DRAW_LIMIT`` entries, and the values
-    its array call draws past it.  Copula counts come from :func:`shared_counts`
-    on a ``(1, 1, p)`` array, since there the inverse CDF is the cost.
-    """
-    if dependence.scheme == "independent":
-        return list(map(rng.poisson, lam))
-    return shared_counts(rng, dependence, np.array(lam).reshape(1, 1, -1))[0, 0].tolist()
-
-
-def ginar_chain_step(spec: GinarSpec, row: np.ndarray, drift: np.ndarray, rng: np.random.Generator):
-    """:func:`ginar_block_step` on a ``(1, 1, k)`` view of one chain's row: there the draws are the cost."""
-    lags, counts, mean = ginar_block_step(spec, row.reshape(1, 1, -1), drift.reshape(1, 1, -1), rng)
-    return lags[0, 0], counts[0, 0].tolist(), mean[0, 0].tolist()
-
-
 def ingarch_chain_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Generator):
-    """:func:`ingarch_block_step` for one chain's row, with lambda read once as floats."""
+    """:func:`ingarch_block_step` for one chain's row of independent counts, lambda read once as floats.
+
+    One scalar Poisson call per entry, in order, draws what ``_draw`` draws.
+    """
     p, q = spec.p, spec.q
     lam = drift[:p].tolist()
     check_intensities(max(lam))
-    counts = _row_counts(rng, spec.dependence, lam)
+    counts = list(map(rng.poisson, lam))
     drift[q * p:(q + 1) * p] = counts
     return drift, counts, lam
 
 
 def loglinear_chain_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
-    """:func:`loglinear_block_step` for one chain's row, with mu read once as floats."""
+    """:func:`loglinear_block_step` for one chain's row of independent counts, mu read once as floats."""
     p, q = spec.p, spec.q
     if not all(mu <= MU_LIMIT for mu in drift[:p].tolist()):  # also true for NaN
         raise DivergenceError(_MU_EXCEEDED)
     lam = np.exp(drift[:p]).tolist()
-    counts = _row_counts(rng, spec.dependence, lam)
+    counts = list(map(rng.poisson, lam))
     drift[q * p:(q + 1) * p] = np.log1p(counts)
     return drift, counts, lam
+
+
+_BLOCK_STEPS = {"ginar": ginar_block_step, "ingarch": ingarch_block_step, "loglinear": loglinear_block_step}
+_CHAIN_STEPS = {"ingarch": ingarch_chain_step, "loglinear": loglinear_chain_step}
 
 
 def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
@@ -463,8 +454,10 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     returns ``(new_state, counts, intensity)``, all arrays, counts and
     intensity of shape ``(chains, replicates, p)``; every chain of a
     replicate consumes the same noise.  ``intensity`` is the conditional mean
-    of the counts given the window.  A row takes the arithmetic and draws of
-    a block of one, so its bits are the same.
+    of the counts given the window.  A row of independent Poisson counts
+    (linear or log-linear) takes its family's scalar chain step; every other
+    row, GINAR or a copula's, is a block of one, since there the draws cost
+    more than the view.  Either way a row's bits are a block of one's.
     """
     matrix, offset = spec.stepping
     row = state.ndim == 1
@@ -473,11 +466,12 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     # einsum adds the products in order, unfused, so p = q = 1 keeps the bits of
     # d + (A lambda + B y); BLAS matmul fuses them, an ulp off in one step in ten.
     drift = np.einsum("k,jk->j" if row else "crk,jk->crj", state, matrix) + offset
-    if isinstance(spec, GinarSpec):
-        return (ginar_chain_step if row else ginar_block_step)(spec, state, drift, rng)
-    if isinstance(spec, IngarchSpec):
-        return (ingarch_chain_step if row else ingarch_block_step)(spec, drift, rng)
-    return (loglinear_chain_step if row else loglinear_block_step)(spec, drift, rng)
+    if not row:
+        return _BLOCK_STEPS[spec.kind](spec, state, drift, rng)
+    if spec.kind in _CHAIN_STEPS and spec.dependence.scheme == "independent":
+        return _CHAIN_STEPS[spec.kind](spec, drift, rng)
+    new, counts, intensity = _BLOCK_STEPS[spec.kind](spec, state[None, None], drift[None, None], rng)
+    return new[0, 0], counts[0, 0].tolist(), intensity[0, 0].tolist()
 
 
 def window_distance(state: np.ndarray) -> np.ndarray:

@@ -22,9 +22,11 @@ chains share is drawn in closed form from both chains' parameters at once:
   bound on the mass beyond it, from the first omitted term on, cannot change
   an answer.
 
-Draws of at most :data:`SCALAR_DRAW_LIMIT` entries loop the generator's scalar
-call, with the same bits and the same argument checks, and larger arrays use
-one array call.
+Both copulas draw one step's scores in one call, through the scheme's
+Cholesky factor.  Draws of at most :data:`SCALAR_DRAW_LIMIT` entries loop the
+generator's scalar call, with the same bits and the same argument checks, and
+larger arrays use one array call.  A lineage part, a seed or a replicate id,
+lies in ``[0, 2**64)`` (:func:`checked_lineage`).
 
 The per-step primitives addressed by ``(master_seed, replicate_id,
 time_index)`` (:class:`PoissonProcessPath`, :class:`CountNoise`,
@@ -41,7 +43,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, Problems, checked_array
+from .errors import ConfigurationError, DivergenceError, Problems, checked_array, checked_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,6 +106,23 @@ def make_stream(master_seed: int, replicate_id: int, time_index: int) -> Stream:
     return Stream((int(master_seed), int(replicate_id), int(time_index)))
 
 
+def checked_lineage(value, path: str, problems: Problems) -> bool:
+    """Whether ``value`` is a lineage part, an integer in ``[0, 2**64)``; files a problem if not.
+
+    The one rule for a seed or a replicate id: outside that range two parts
+    would alias one stream, as -1 and 2**64 - 1 do.
+    """
+    return checked_int(value, path, problems, bits=64)
+
+
+def check_lineage(**parts) -> None:
+    """Refuse, by name, every part that is not a lineage part, in one :class:`ConfigError`."""
+    problems = Problems()
+    for path, value in parts.items():
+        checked_lineage(value, path, problems)
+    problems.raise_if_any()
+
+
 def block_rng(master_seed: int, block: int) -> np.random.Generator:
     """The persistent generator of one replicate block; pure in its arguments."""
     return np.random.Generator(np.random.PCG64(_mix((master_seed, block))))
@@ -134,25 +153,26 @@ def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _draw(method, *params, size=None) -> np.ndarray:
-    """``method(*params, size=size)`` for a generator method such as ``rng.poisson`` and array parameters.
+def _draw(method, *params) -> np.ndarray:
+    """``method(*params)`` for a generator method such as ``rng.poisson`` and array parameters.
 
-    Up to :data:`SCALAR_DRAW_LIMIT` entries are drawn by one scalar call each,
-    in C order as the array call draws them, so the values and the generator
-    state afterwards are the same, and a bad parameter raises ``ValueError``
-    either way.  Two-parameter draws read the broadcast iterator
-    (``np.broadcast_arrays`` costs more than the draws); with ``size`` they
-    make the array call.
+    Two regimes, one result: up to :data:`SCALAR_DRAW_LIMIT` entries are drawn
+    by one scalar call each, in C order as the array call draws them, so the
+    values and the generator state afterwards are the same, and a bad
+    parameter raises ``ValueError`` either way.  The result has the
+    parameters' broadcast shape: to draw more, fill them (:func:`_filled`),
+    which draws the bits ``size`` would.  Two-parameter draws read the
+    broadcast iterator (``np.broadcast_arrays`` costs more than the draws).
     """
+    values = params[0]
     if len(params) > 1:
         entries = np.broadcast(*params)
-        if size is None and entries.size <= SCALAR_DRAW_LIMIT:
+        if entries.size <= SCALAR_DRAW_LIMIT:
             return np.fromiter(starmap(method, entries), np.int64, entries.size).reshape(entries.shape)
-    elif (params[0].size if size is None else math.prod(size)) <= SCALAR_DRAW_LIMIT:
-        values = params[0] if size is None else _filled(params[0], size)
+    elif values.size <= SCALAR_DRAW_LIMIT:
         # Python floats take the scalar call's fastest path.
         return np.fromiter(map(method, values.ravel().tolist()), np.int64, values.size).reshape(values.shape)
-    return method(*params) if size is None else method(*params, size=size)  # size=None costs 2 us
+    return method(*params)
 
 
 def check_intensities(peak: float) -> None:
@@ -164,8 +184,9 @@ def check_intensities(peak: float) -> None:
 def geometric_mean_refused(means: np.ndarray) -> np.ndarray:
     """Where numpy refuses even one geometric counting term of mean ``means``.
 
-    :func:`shared_thinning` draws ``negative_binomial(max(n, 1), 1 / (1 + m))``
-    for every lag count ``n``, so such a mean fails every step.
+    :func:`shared_thinning` draws ``negative_binomial(n, 1 / (1 + m))`` for
+    every positive lag count ``n``, so such a mean fails at the first positive
+    count.
     """
     p = 1.0 / (1.0 + means)
     return (1.0 - p) / p * 11.0 > POISSON_LAM_MAX
@@ -271,16 +292,14 @@ def shared_counts(rng: np.random.Generator, dependence: Dependence, lam: np.ndar
     """One step's counts for ``(chains, replicates, p)`` intensities under the scheme.
 
     Marginals are Poisson at each chain's own intensity; the chains share
-    the Poisson processes (independent scheme) or the copula scores.  The
-    caller keeps ``lam`` within the intensity limit (see :func:`check_intensities`).
+    the Poisson processes (independent scheme) or the copula scores, drawn
+    for both copulas through ``Dependence.cholesky``.  The caller keeps
+    ``lam`` within the intensity limit (see :func:`check_intensities`).
     """
     if dependence.scheme == "independent":
         return shared_poisson(rng, lam)
-    replicates, p = lam.shape[1:]
-    if dependence.scheme == "comonotone":
-        scores = rng.standard_normal((replicates, 1))
-    else:
-        scores = rng.standard_normal((replicates, p)) @ dependence.cholesky.T
+    chol = dependence.cholesky
+    scores = rng.standard_normal((lam.shape[1], len(chol))) @ chol.T
     try:
         return poisson_quantile(scores, lam)
     except OverflowError as exc:
@@ -297,7 +316,7 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
     once for both and each chain adds an independent sum over its own
     ``n - lo`` further terms.  Sums of ``n`` terms are drawn in closed form:
     ``Bin(n, m)`` (bernoulli), ``Poisson(n m)`` summed over the lags and
-    columns (poisson) or a negative binomial, zero where ``n = 0``
+    columns (poisson) or a negative binomial, drawn only where ``n > 0``
     (geometric).
     """
     if counts.shape[0] == 1:
@@ -314,7 +333,10 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
         if family == "bernoulli":
             draws = _draw(rng.binomial, n, means)
         elif family == "geometric":
-            draws = np.where(n > 0, _draw(rng.negative_binomial, np.maximum(n, 1), 1.0 / (1.0 + means)), 0)
+            n, prob = np.broadcast_arrays(n, 1.0 / (1.0 + means))
+            positive = n > 0
+            draws = np.zeros(n.shape, np.int64)
+            draws[positive] = _draw(rng.negative_binomial, n[positive], prob[positive])
         else:
             raise ConfigurationError(f"unknown counting family {family!r}, expected one of {COUNTING_FAMILIES}")
         sums = draws.sum(axis=(2, 4))
@@ -427,6 +449,8 @@ class Dependence:
     ``gaussian`` (a Gaussian copula with the given correlation matrix, whose
     entries pass :func:`errors.checked_array`, so a boolean or a string is
     refused).  Marginals are Poisson under every scheme; only the joint changes.
+    A copula draws normal scores times ``cholesky.T``: the correlation's factor,
+    or ``[[1.0]]`` for comonotone, one score that every coordinate reads.
     """
 
     scheme: str = "independent"
@@ -436,7 +460,7 @@ class Dependence:
 
     def __post_init__(self):
         problems = Problems()
-        corr, chol = None, None
+        corr, chol = None, np.ones((1, 1)) if self.scheme == "comonotone" else None
         if self.scheme not in self.SCHEMES:
             problems.add("scheme", f"expected one of {self.SCHEMES}, got {self.scheme!r}")
         elif self.scheme != "gaussian":
@@ -503,10 +527,8 @@ class CountNoise:
 
     def _via_scores(self, lam: np.ndarray) -> np.ndarray:
         if self._scores is None:
-            if self.dependence.scheme == "comonotone":
-                self._scores = np.full(self.p, float(self._stream.rng.standard_normal()))
-            else:
-                self._scores = self.dependence.cholesky @ self._stream.rng.standard_normal(self.p)
+            chol = self.dependence.cholesky
+            self._scores = self._stream.rng.standard_normal(len(chol)) @ chol.T
         try:
             return poisson_quantile(self._scores, lam)
         except OverflowError as exc:

@@ -589,3 +589,60 @@ def test_value_error_from_the_engine_exits_with_a_message(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: intensities must be finite")
     assert "Traceback" not in err
+
+
+def test_a_memory_error_exits_1_with_a_message(tmp_path, capsys, monkeypatch):
+    # A run below the run-length bounds can still ask for more memory than the host has.
+    def hungry(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.engine, "monte_carlo_moments", hungry)
+    cfg = str(CONFIG_DIR / "ingarch_moments.yaml")
+    assert cli.main(["moments", "--config", cfg, "--out", str(tmp_path / "m"), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_refused_by_path(tmp_path, capsys, seed):
+    # _mix reads 64 bits of a seed, so -1 would draw the bits of 2**64 - 1, and 2**64 those of 0.
+    problem = f"seed: expected an integer in [0, 2**64), got {seed}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL_CHECK.replace("seed: 1", f"seed: {seed}"))
+    assert err.value.problems == [problem]
+    code = cli.main(["check", "--config", write(tmp_path, MINIMAL_CHECK), "--seed", str(seed),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and problem in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_64_bits_are_accepted(tmp_path, seed):
+    assert parse_config(MINIMAL_CHECK.replace("seed: 1", f"seed: {seed}")).seed == seed
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", write(tmp_path, MINIMAL_CHECK), "--seed", str(seed), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["lineage"]["master_seed"] == seed
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("T", 2**63 - 1 - 1000, True),
+    ("T", 2**63 - 1000, False),  # with burn_in 1000, T + burn_in reaches 2**63
+    ("T", 2**63, False),
+    ("burn_in", 2**63 - 1 - 50000, True),
+    ("burn_in", 2**70, False),
+])
+def test_run_lengths_at_or_past_2_63_are_refused_by_path(key, value, ok):
+    # Parsed only: a run of this length is never started.
+    text = (CONFIG_DIR / "ingarch_simulate.yaml").read_text(encoding="utf-8")
+    raw = yaml.safe_load(text)
+    raw["experiment"][key] = value
+    if ok:
+        assert getattr(parse_config(yaml.safe_dump(raw)).experiment, key) == value
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith(f"experiment.{key}: " if value >= 2**63 else "experiment.burn_in: ")
+    assert "2**63" in err.value.problems[0]

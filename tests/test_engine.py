@@ -1,9 +1,13 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from countsim import engine
+from countsim.config import plain
 from countsim.engine import (
     couple,
     couple_ensemble,
@@ -22,6 +26,8 @@ from countsim.models import (
     validate_window,
 )
 from countsim.randomness import SCALAR_DRAW_LIMIT, block_rng
+
+MANIFEST = Path(__file__).resolve().parent / "data" / "determinism.json"
 
 
 def iid_poisson1():
@@ -260,6 +266,54 @@ def test_simulate_diverges_at_the_block_step_index(spec, seed):
     assert str(row.value) == str(block.value)
 
 
+def _pinned_library_runs(seed: int) -> dict:
+    """Small in-process runs on the paths neither CLI manifest reaches, by name.
+
+    Copula rows (comonotone and Gaussian), a log-linear row, comonotone blocks
+    and geometric immigration in a row and in blocks of 64 and 3 replicates.
+    Geometric counting is left out: its draws skip zero counts, which moved
+    its bits after these digests were made.
+    """
+    gaussian = {"scheme": "gaussian", "correlation": [[1.0, 0.6], [0.6, 1.0]]}
+    comonotone = {"scheme": "comonotone"}
+
+    def ingarch(dependence):
+        return IngarchSpec(2, 1, [1.0, 0.5], ([[0.2, 0.1], [0.0, 0.2]],), ([[0.3, 0.05], [0.1, 0.25]],), dependence)
+
+    def loglinear(dependence):
+        return LogLinearSpec(2, 1, [0.3, 0.2], ([[0.2, -0.1], [0.1, 0.3]],), ([[0.3, 0.1], [-0.2, 0.25]],),
+                             dependence)
+
+    ginar = GinarSpec(2, 1, ([[0.3, 0.1], [0.2, 0.4]],), "bernoulli", ImmigrationSpec("geometric", [1.0, 0.5]))
+    window = {"counts": [[9, 0]], "intensities": [[6.0, 1.0]]}
+    return {
+        "simulate/loglinear-independent": lambda: simulate(loglinear({}), 200, 20, seed),
+        "simulate/ingarch-comonotone": lambda: simulate(ingarch(comonotone), 200, 20, seed),
+        "simulate/ingarch-gaussian": lambda: simulate(ingarch(gaussian), 200, 20, seed),
+        "simulate/loglinear-gaussian": lambda: simulate(loglinear(gaussian), 200, 20, seed),
+        "simulate/ginar-geometric-immigration": lambda: simulate(ginar, 200, 20, seed),
+        "couple_ensemble/ingarch-comonotone":
+            lambda: couple_ensemble(ingarch(comonotone), 30, default_window(ingarch(comonotone)), window, seed, 67),
+        "couple_ensemble/ginar-geometric-immigration":
+            lambda: couple_ensemble(ginar, 30, default_window(ginar), {"counts": [[9, 0]]}, seed, 67),
+        "monte_carlo_moments/loglinear-comonotone":
+            lambda: monte_carlo_moments(loglinear(comonotone), [1, 2], [0.1], 100, 10, 67, seed),
+    }
+
+
+def test_library_runs_match_the_determinism_manifest():
+    # The SHA-256 of each run's record in JSON types; made at the commit
+    # before copula rows ran through the block step, so a row, a copula score
+    # draw or an immigration draw that moves a bit fails here.
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert np.__version__ == manifest["numpy"], \
+        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    digests = {name: hashlib.sha256(json.dumps(plain(run()), sort_keys=True).encode()).hexdigest()
+               for name, run in _pinned_library_runs(manifest["seed"]).items()}
+    assert digests == manifest["library"]["digests"], \
+        "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
+
+
 def test_csv_export_layout(tmp_path):
     path = simulate(stationary_2d(), 50, 10, master_seed=5)
     out = tmp_path / "path.csv"
@@ -493,6 +547,11 @@ def test_moment_fold_batches_match_direct_statistics():
         lengths = _batch_lengths(T)
         assert np.cumsum(lengths).tolist() == ends(T) and ends(T)[-1] == T
         assert lengths.min() >= 1
+    T = 2**44 + 12345  # (i + 1) * T passes 2**63 here, and wrapped to negative lengths
+    lengths, batches = _batch_lengths(T), math.isqrt(T)
+    assert lengths.min() >= 1 and np.cumsum(lengths)[-1] == T
+    for i in (0, 1, batches // 2, batches - 1):
+        assert np.cumsum(lengths[:i + 1])[-1] == (i + 1) * T // batches
     T = 2507  # 50 batches of 50 or 51 steps
     sizes = np.random.default_rng(14).poisson(6.0, size=(3, T)).astype(float)
     fold = _MomentFold(3, T, [1.0, 2.5], [0.3])
@@ -564,3 +623,40 @@ def test_loglinear_paths_simulate_and_couple():
     ens = couple_ensemble(spec, 200, wa, wb, master_seed=13, replicates=32)
     assert isinstance(ens.fitted_rate, float) and ens.fitted_rate < 1.0
     assert ens.mean_distances[-1] < 1e-3 * ens.initial_distance
+
+
+# --- lineage parts and run lengths ------------------------------------------
+
+@pytest.mark.parametrize("run, path", [
+    (lambda s: simulate(iid_poisson1(), 5, 0, master_seed=s), "master_seed"),
+    (lambda s: simulate(iid_poisson1(), 5, 0, replicate_id=s), "replicate_id"),
+    (lambda s: couple(iid_poisson1(), 10, default_window(iid_poisson1()), default_window(iid_poisson1()),
+                      replicate_id=s), "replicate_id"),
+    (lambda s: couple_ensemble(iid_poisson1(), 10, default_window(iid_poisson1()), default_window(iid_poisson1()),
+                               master_seed=s, replicates=2), "master_seed"),
+    (lambda s: monte_carlo_moments(iid_poisson1(), [1.0], [0.1], 5, 0, 2, master_seed=s), "master_seed"),
+])
+def test_lineage_parts_outside_64_bits_are_refused_before_any_block(run, path):
+    # _mix reads 64 bits of each part: -1 would alias 2**64 - 1, and 2**64 alias 0.
+    for value in (-1, 2**64):
+        with pytest.raises(ConfigError) as err:
+            run(value)
+        assert err.value.problems == [f"{path}: expected an integer in [0, 2**64), got {value}"]
+    for value in (0, 2**64 - 1):
+        run(value)
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda v: engine.SimulateExperiment(v, 0), "T"),
+    (lambda v: engine.SimulateExperiment(1, v - 1), "burn_in"),  # T + burn_in = v
+    (lambda v: engine.MomentsExperiment([1], [0.1], v - 7, 7), "burn_in"),
+    (lambda v: engine.MomentsExperiment([1], [0.1], 5, 0, v), "replicates"),
+    (lambda v: engine.CoupleExperiment(v, None, None), "n"),
+    (lambda v: engine.CoupleExperiment(10, None, None, v), "replicates"),
+])
+def test_run_lengths_are_refused_by_path_at_2_63(build, path):
+    # Records only: a run of this length is never started.
+    build(2**63 - 1)
+    with pytest.raises(ConfigError) as err:
+        build(2**63)
+    assert len(err.value.problems) == 1 and err.value.problems[0].startswith(f"{path}: ")

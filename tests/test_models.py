@@ -56,8 +56,8 @@ def test_poisson_family_allows_means_above_one():
 
 
 def test_geometric_means_past_numpys_draw_limit_are_refused_by_path():
-    # Every step draws negative_binomial(max(n, 1), 1 / (1 + m)), which numpy
-    # refuses past m = 8.385e17 even for n = 1.
+    # A positive count n draws negative_binomial(n, 1 / (1 + m)), which numpy
+    # refuses past m = 8.385e17 even for n = 1; step 1 draws one such term.
     immigration = ImmigrationSpec("constant", [1])
     spec = GinarSpec(1, 1, ([[8.38e17]],), "geometric", immigration)
     assert simulate(spec, 2, 0).counts[0, 0] == 1

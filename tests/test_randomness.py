@@ -510,7 +510,11 @@ _LIMIT = randomness.SCALAR_DRAW_LIMIT
 
 
 def _draw_cases(k: int) -> list:
-    """``(method, params, size)`` for every kind of draw the block step makes, at ``k`` entries."""
+    """``(method, params, size)`` for every kind of draw the block step makes, at ``k`` entries.
+
+    With a ``size``, ``_draw`` gets the parameters filled to it, as
+    ``ImmigrationSpec.sample`` passes them, and the array call gets ``size``.
+    """
     lam = np.linspace(0.0, 6.0, k)
     n = np.arange(k) % 5
     return [
@@ -531,14 +535,16 @@ def _thinning_cases(shape: tuple) -> list:
     chains, replicates, q, p = shape
     n = (np.arange(chains * replicates * q * p) % 4).reshape(chains, replicates, q, 1, p)
     means = np.linspace(0.05, 0.9, q * p * p).reshape(q, p, p)
+    counts, prob = np.broadcast_arrays(n, 1.0 / (1.0 + means))
     return [("binomial", (n, means), None),
-            ("negative_binomial", (np.maximum(n, 1), 1.0 / (1.0 + means)), None)]
+            ("negative_binomial", (counts[counts > 0], prob[counts > 0]), None)]  # geometric: positive counts
 
 
 def _assert_draws_match(cases: list, seed: int) -> None:
     scalar, array = block_rng(seed, 0), block_rng(seed, 0)
     for method, params, size in cases:
-        got = randomness._draw(getattr(scalar, method), *params, size=size)
+        got = randomness._draw(getattr(scalar, method),
+                               *(params if size is None else [randomness._filled(a, size) for a in params]))
         want = getattr(array, method)(*params, size=size)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want), method
