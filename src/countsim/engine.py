@@ -335,7 +335,9 @@ class ExponentialMoment:
 
     ``top10_share`` is the fraction of the exponential mass carried by the
     ten largest samples; the estimate is flagged saturated when that share
-    exceeds one half, i.e. the average is dominated by fewer than 10 samples.
+    exceeds one half, i.e. the average is dominated by fewer than 10 samples,
+    and when ``delta |Y|_1`` passes the double range (estimate +inf, SE and
+    share NaN).
     """
 
     log_estimate: float
@@ -354,8 +356,11 @@ class MomentReport:
 
 
 def _logsumexp(values: np.ndarray, axis=None):
+    """``log(sum(exp(values)))`` along ``axis``; +inf, without a warning, where a value is +inf."""
     m = np.max(values, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(values - m), axis=axis))
+    m = np.where(m < np.inf, m, 0.0)
+    with np.errstate(over="ignore"):
+        return np.squeeze(m, axis) + np.log(np.sum(np.exp(values - m), axis=axis))
 
 
 def _batch_lengths(T: int) -> np.ndarray:
@@ -415,8 +420,8 @@ class _MomentFold:
         with np.errstate(over="ignore"):  # see monte_carlo_moments
             for r in self.sums:
                 self.sums[r][:, self.batch] = np.sum(batch**r, axis=1)
-        for d in self.lse:
-            self.lse[d][:, self.batch] = _logsumexp(d * batch, axis=1)
+            for d in self.lse:
+                self.lse[d][:, self.batch] = _logsumexp(d * batch, axis=1)
         self.top = np.sort(np.concatenate((self.top, batch), axis=1), axis=1)[:, -10:]
         self.batch, self.fill = self.batch + 1, 0
 
@@ -452,7 +457,9 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     as ``sqrt(T)``.
 
     For large ``r``, ``|Y_t|_1 ** r`` can overflow; such estimates come out
-    infinite and their standard errors NaN, without a warning.
+    infinite and their standard errors NaN, without a warning.  So does the
+    log estimate of an exponential moment once ``delta |Y_t|_1`` passes the
+    double range; it is flagged saturated, with its top-10 share NaN.
     """
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
     check_lineage(master_seed=master_seed)
@@ -475,6 +482,9 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     for delta in exp.delta_values:
         lses = np.concatenate([block[1][delta] for block in blocks])
         total_lse = _logsumexp(lses)
+        if total_lse == math.inf:
+            exponential[delta] = ExponentialMoment(math.inf, math.nan, math.nan, True)
+            continue
         se = _relative_se((_logsumexp(lses, axis=1) if by_replicate else lses[0]) - np.log(counts))
         top10_all = delta * top10_sizes
         top10_share = float(np.exp(_logsumexp(top10_all) - total_lse))

@@ -49,15 +49,24 @@ def _matrix(values, rule: str = "real") -> np.ndarray:
 def matrix_norm(m, kind: str) -> float:
     """Operator norm of a square matrix: ``kind`` is ``"l1"`` (max absolute
     column sum), ``"linf"`` (max absolute row sum) or ``"l2"`` (largest
-    singular value)."""
+    singular value).  A norm past the double range is +inf."""
     m = _matrix(m)
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    if kind == "l1":
-        return float(np.max(np.sum(np.abs(m), axis=0)))
-    if kind == "linf":
-        return float(np.max(np.sum(np.abs(m), axis=1)))
-    return float(np.linalg.norm(m, 2))
+    if kind == "l2":
+        return float(np.linalg.norm(m, 2))
+    return abs_sum_norm(m, 0 if kind == "l1" else 1)
+
+
+def abs_sum_norm(m: np.ndarray, axis: int) -> float:
+    """Largest absolute column (``axis=0``) or row (``axis=1``) sum of a float matrix.
+
+    Takes a matrix already checked, such as a sum of checked coefficient
+    matrices, whose entries may be +inf; a sum past the double range is +inf,
+    without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(np.abs(m), axis=axis)))
 
 
 def spectral_radius(m) -> float:
@@ -67,9 +76,13 @@ def spectral_radius(m) -> float:
 
 def strong_components(m) -> list[list[int]]:
     """Index sets of the strongly connected components of ``i -> j`` where ``m[i, j] != 0``."""
-    m = _matrix(m)
-    n = m.shape[0]
-    reach = (m != 0) | np.eye(n, dtype=bool)
+    return _components(_matrix(m) != 0)
+
+
+def _components(edges: np.ndarray) -> list[list[int]]:
+    """:func:`strong_components` of the boolean adjacency matrix ``edges``."""
+    n = edges.shape[0]
+    reach = edges | np.eye(n, dtype=bool)
     for k in range(n):  # Warshall's transitive closure
         reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
     components, seen = [], set()
@@ -124,18 +137,30 @@ def certified_radius(m) -> Bracket:
     the bracket; the estimate is clamped into the bracket, so it agrees with
     any bracket that excludes 1.
     """
-    m = _matrix(m, "nonnegative")
+    return perron_bracket(_matrix(m, "nonnegative"))
+
+
+def perron_bracket(m: np.ndarray) -> Bracket:
+    """:func:`certified_radius` of a nonnegative float matrix already checked.
+
+    Its entries may be +inf, as an overflowed sum of checked coefficient
+    matrices holds: an infinite entry of a strongly connected diagonal block
+    lies on a cycle of positive entries, so that block's radius is +inf,
+    exactly, while an infinite entry between blocks changes no radius.  A
+    radius past the double range is +inf too, without a warning.
+    """
     value = lo = hi = 0.0
-    for component in strong_components(m):
+    for component in _components(m != 0):
         block = m[np.ix_(component, component)]
-        if len(component) == 1:
-            block_value = block_lo = block_hi = float(block[0, 0])
+        if len(component) == 1 or block.max() == np.inf:  # a 1 x 1 block is its own radius
+            block_value = block_lo = block_hi = float(block.max())
         else:
             values, vectors = np.linalg.eig(block)
             perron = np.argmax(values.real)
             block_value = float(values[perron].real)
             x = np.maximum(np.abs(vectors[:, perron]), np.finfo(float).tiny)
-            ratios = (block @ x) / x
+            with np.errstate(over="ignore"):  # a Perron root past the double range is +inf
+                ratios = (block @ x) / x
             slack = _BRACKET_SLACK * len(component)
             block_lo = float(ratios.min()) * (1.0 - slack)
             block_hi = float(ratios.max()) * (1.0 + slack)

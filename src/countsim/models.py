@@ -70,6 +70,9 @@ _MEAN_RULES = {
                   f"mean {{}} exceeds {POISSON_LAM_MAX / 11:.4g}, past numpy's negative binomial limit"),
 }
 
+#: The message that refuses an immigration mean or a linear intensity offset past the intensity limit.
+_MEAN_PAST_LIMIT = f"mean {{}} exceeds {INTENSITY_LIMIT:g}"
+
 IMMIGRATION_FAMILIES = ("poisson", "geometric", "constant")
 
 #: The per-lag lists of a window given as a mapping, by family.
@@ -161,6 +164,8 @@ def _intensity_fields(spec, offset: str, matrices: tuple[str, str], rule: str) -
     ok = _dimensions(spec, problems)
     if ok:
         d = checked_array(getattr(spec, offset), (spec.p,), offset, problems, rule)
+        if d is not None and rule == "nonnegative":  # lambda >= d, so a larger d diverges at time index 0
+            flag_entry(d, d > INTENSITY_LIMIT, _MEAN_PAST_LIMIT, offset, problems)
         values[offset] = None if d is None else _freeze(d)
         for name in matrices:
             values[name] = _per_lag(getattr(spec, name), spec, name, (spec.p, spec.p), rule, problems)
@@ -190,7 +195,7 @@ class ImmigrationSpec:
         rule = "count" if self.family == "constant" else "nonnegative"
         vals = checked_array(self.values, (None,), "values", problems, rule)
         if vals is not None:
-            flag_entry(vals, vals > INTENSITY_LIMIT, f"mean {{}} exceeds {INTENSITY_LIMIT:g}", "values", problems)
+            flag_entry(vals, vals > INTENSITY_LIMIT, _MEAN_PAST_LIMIT, "values", problems)
         problems.raise_if_any()
         object.__setattr__(self, "values", _freeze(vals))
 

@@ -23,15 +23,18 @@ chains share is drawn in closed form from both chains' parameters at once:
   an answer.
 
 Both copulas draw one step's scores in one call, through the scheme's
-Cholesky factor.  Draws of at most :data:`SCALAR_DRAW_LIMIT` entries loop the
-generator's scalar call, with the same bits and the same argument checks, and
-larger arrays use one array call.  A lineage part, a seed or a replicate id,
-lies in ``[0, 2**64)`` (:func:`checked_lineage`).
+Cholesky factor, in :func:`shared_counts` and nowhere else.  Draws of at most
+:data:`SCALAR_DRAW_LIMIT` entries loop the generator's scalar call, with the
+same bits and the same argument checks, and larger arrays use one array call.
+A lineage part, a seed or a replicate id, lies in ``[0, 2**64)``
+(:func:`checked_lineage`).
 
-The per-step primitives addressed by ``(master_seed, replicate_id,
-time_index)`` (:class:`PoissonProcessPath`, :class:`CountNoise`,
-:class:`CountingCache`, :func:`thinning`, :func:`poisson_inverse_cdf`) are the
-scalar references the law tests compare the block primitives against.
+No run calls the per-step primitives addressed by ``(master_seed,
+replicate_id, time_index)`` (:class:`PoissonProcessPath`, :class:`CountNoise`,
+:class:`CountingCache`, :func:`thinning`, :func:`make_stream`).  Only
+:func:`poisson_inverse_cdf` is a scalar reference, the one the law tests check
+:func:`poisson_quantile`'s lower half against; the rest stays only because the
+benchmark tracer (``perfbench/tracer.py``) patches it by name.
 """
 
 from __future__ import annotations
@@ -96,9 +99,6 @@ class Stream:
         if self._rng is None:
             self._rng = np.random.Generator(np.random.PCG64(_mix(self.lineage)))
         return self._rng
-
-    def __repr__(self) -> str:
-        return f"Stream(lineage={self.lineage})"
 
 
 def make_stream(master_seed: int, replicate_id: int, time_index: int) -> Stream:
@@ -488,51 +488,30 @@ class Dependence:
 
 
 class CountNoise:
-    """The count-process noise of a single time step.
+    """Independent unit-rate Poisson counts of a single time step, one process path per coordinate.
 
     Evaluable at any intensity vector via :meth:`at`; repeated evaluations
-    reuse the same underlying realization (paths or normal scores), which is what coupled chains rely on when they share an instance.
+    count the same paths, which is what coupled chains rely on when they
+    share an instance.  Copula counts are drawn by :func:`shared_counts` only.
     """
 
-    __slots__ = ("dependence", "p", "_stream", "_paths", "_scores")
+    __slots__ = ("p", "_stream", "_paths")
 
-    def __init__(self, dependence: Dependence, p: int, stream: Stream):
-        self.dependence = dependence
+    def __init__(self, p: int, stream: Stream):
         self.p = int(p)
         self._stream = stream
         self._paths = None
-        self._scores = None
 
     def at(self, lambdas) -> np.ndarray:
-        """Counts with marginal law Poisson(lambdas_j), joint per the scheme."""
+        """Counts with marginal law Poisson(lambdas_j), independent across coordinates."""
         lam = np.asarray(lambdas, dtype=float)
         if lam.shape != (self.p,):
             raise ValueError(f"expected {self.p} intensities, got shape {lam.shape}")
-        lo, hi = float(lam.min()), float(lam.max())
-        if lo < 0.0 or not math.isfinite(lo) or math.isnan(hi):
-            raise ValueError("intensities must be finite and nonnegative")
-        if hi > INTENSITY_LIMIT:
-            raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
-        if self.dependence.scheme == "independent":
-            return self._independent(lam)
-        return self._via_scores(lam)
-
-    def _independent(self, lam: np.ndarray) -> np.ndarray:
+        check_intensities(lam.max())
         if self._paths is None:
             self._paths = [PoissonProcessPath() for _ in range(self.p)]
-        out = np.zeros(self.p, dtype=np.int64)
-        for j in range(self.p):
-            out[j] = self._paths[j].count(float(lam[j]), self._stream)
-        return out
-
-    def _via_scores(self, lam: np.ndarray) -> np.ndarray:
-        if self._scores is None:
-            chol = self.dependence.cholesky
-            self._scores = self._stream.rng.standard_normal(len(chol)) @ chol.T
-        try:
-            return poisson_quantile(self._scores, lam)
-        except OverflowError as exc:
-            raise DivergenceError(str(exc)) from exc
+        counts = [path.count(x, self._stream) for path, x in zip(self._paths, lam.tolist())]
+        return np.array(counts, dtype=np.int64)
 
 
 def _draw_counting(family: str, mean: float, size: int, rng: np.random.Generator) -> np.ndarray:

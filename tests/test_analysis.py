@@ -286,6 +286,36 @@ def test_knife_edge_verdicts_share_one_rule(b, expected):
         assert report.verdicts[name] == expected, name
 
 
+# --- lag sums past the double range --------------------------------------------
+
+_HUGE = 1.7e308  # two of these add up past the double range
+
+
+# (A, B): their sum rounds to [[0, inf], [0, 0]], nilpotent (rho = 0, exactly),
+# to [[inf]] and to an irreducible block holding inf (rho = inf), or is an
+# irreducible block whose radius passes the double range.
+@pytest.mark.parametrize("a, b, rho", [
+    pytest.param([[0.0, _HUGE], [0.0, 0.0]], [[0.0, _HUGE], [0.0, 0.0]], 0.0, id="between-blocks"),
+    pytest.param([[_HUGE]], [[_HUGE]], math.inf, id="diagonal"),
+    pytest.param([[0.1, _HUGE], [0.1, 0.1]], [[0.1, _HUGE], [0.1, 0.1]], math.inf, id="inside-a-block"),
+    # No entry overflows, but the Perron root, 2e308, does.
+    pytest.param([[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]], math.inf, id="root-past-the-range"),
+])
+def test_overflowing_lag_sums_get_exact_verdicts(a, b, rho):
+    holds = analysis.Verdict(HOLDS if rho < 1 else FAILS)
+    report = check_ingarch(ingarch([a], [b]))
+    assert report.computed["rho_sum_AB"].value == rho
+    assert report.verdicts["stationarity"] == report.verdicts["polynomial_moments"] == holds
+    assert report.computed["linf_sum"].value == report.computed["l1_sum_norms"].value == math.inf
+    assert report.verdicts["exp_moment_l1"] == report.verdicts["exp_moment_linf"] == analysis.Verdict(FAILS)
+    report = check_loglinear(loglinear([a], [(-np.asarray(b)).tolist()]))  # |A| + |B|
+    assert report.computed["rho_sum_abs"].value == rho and report.verdicts["stationarity"] == holds
+    assert report.verdicts["exp_moments"] == analysis.Verdict(FAILS)
+    report = check_ginar(ginar([a, b], family="poisson"))  # two lags: A + B
+    assert report.computed["rho_sum_means"].value == rho and report.verdicts["stationarity"] == holds
+    json.dumps(plain(report), allow_nan=False)
+
+
 # --- certified radius verdicts -----------------------------------------------
 
 def test_ingarch_defective_count_matrix_holds():

@@ -267,6 +267,37 @@ def test_counts_past_2_53_are_refused_by_entry_in_one_pass():
     assert err.value.problems == ["model.immigration.values[0]: count not below 2**53"]
 
 
+def test_linear_intensity_offsets_past_the_intensity_limit_are_refused_by_path(tmp_path, capsys):
+    # lambda >= d entrywise, so such an offset would diverge at time index 0 of every run.
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"]["intensity_offset"] = [1.0, sys.float_info.max]
+    problem = "model.intensity_offset[1]: mean 1.7976931348623157e+308 exceeds 1e+18"
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(raw))
+    assert err.value.problems == [problem]
+    assert cli.main(["check", "--config", write(tmp_path, yaml.safe_dump(raw))]) == 1
+    assert problem in capsys.readouterr().err
+
+
+def test_lag_sums_past_the_double_range_get_exact_verdicts(tmp_path, capsys):
+    # A + B = [[0, inf], [0, 0]] after rounding: nilpotent, so rho = 0, and
+    # lambda_1 = 1 for ever; [[inf]] fails.
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"]["intensity_offset"] = [1.0, 0.0]
+    raw["model"]["lambda_matrices"] = raw["model"]["count_matrices"] = [[[0.0, 1.7e308], [0.0, 0.0]]]
+    stationary = write(tmp_path, yaml.safe_dump(raw), "nilpotent.yaml")
+    out = ["--out", str(tmp_path / "out")]
+    assert cli.main(["check", "--config", stationary, "--strict", *out]) == 0
+    raw["experiment"] = {"kind": "simulate", "T": 20, "burn_in": 5}
+    assert cli.main(["simulate", "--config", write(tmp_path, yaml.safe_dump(raw), "run.yaml"), *out]) == 0
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"].update(p=1, intensity_offset=[1.0], lambda_matrices=[[[1.7e308]]], count_matrices=[[[1.7e308]]])
+    failing = write(tmp_path, yaml.safe_dump(raw), "scalar.yaml")
+    assert cli.main(["check", "--config", failing, *out]) == 0
+    assert cli.main(["check", "--config", failing, "--strict", *out]) == 2
+    assert "stationarity condition fails" in capsys.readouterr().err
+
+
 def test_non_numeric_matrix_is_a_problem():
     raw = yaml.safe_load(MINIMAL_CHECK)
     raw["model"]["count_matrices"] = [[["x"]]]
@@ -386,6 +417,9 @@ def test_moments_command(tmp_path, capsys):
                  [("polynomial", "1.0", "std_error"), ("exponential", "0.1", "std_error")], id="one-sample"),
     pytest.param({"r_values": [1000], "T": 200, "replicates": 2},  # |Y|_1 ** 1000 overflows
                  [("polynomial", "1000.0", "estimate")], id="overflow"),
+    pytest.param({"delta_values": [0.1, 1.0e308], "T": 200, "replicates": 4},  # 1e308 |Y|_1 overflows
+                 [("exponential", "1e+308", "log_estimate"), ("exponential", "1e+308", "std_error")],
+                 id="exponential-overflow"),
 ])
 def test_non_finite_statistics_are_written_as_null(tmp_path, capsys, changes, nulls):
     def no_constants(name):

@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _SHRUNK = {"T": 30, "burn_in": 5, "n": 10, "replicates": 3}
 
 HOSTILE = [True, False, "1", "abc", math.nan, math.inf, -math.inf, -1, 2**63, 2**70, 10**400, 1e19,
-           [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1}]
+           sys.float_info.max, [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1}]
 
 
 def _shrunk(path: Path) -> dict:

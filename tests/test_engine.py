@@ -151,6 +151,15 @@ def test_immigration_means_past_the_intensity_limit_are_refused(family):
         GinarSpec(1, 1, ([[0.5]],), "bernoulli", {"family": family, "values": [1e19]})
 
 
+def test_linear_intensity_offsets_past_the_intensity_limit_are_refused():
+    # lambda >= d entrywise: past 1e18 the first step would diverge.  1e18 itself
+    # runs, and log-linear offsets stay unbounded, since their coefficients are signed.
+    assert simulate(IngarchSpec(1, 1, [1e18], ([[0.0]],), ([[0.0]],)), 1, 0).length == 1
+    with pytest.raises(ConfigError, match=r"intensity_offset\[0\]: mean 1.7976931348623157e\+308 exceeds 1e\+18"):
+        IngarchSpec(1, 1, [np.finfo(float).max], ([[0.0]],), ([[0.0]],))
+    assert LogLinearSpec(1, 1, [np.finfo(float).max], ([[-1.0]],), ([[0.0]],)).offset[0] == np.finfo(float).max
+
+
 def test_a_draw_that_refuses_its_parameters_is_a_divergence():
     # numpy refuses a negative binomial whose Poisson mixing could pass its limit:
     # this mean draws one term, but not the two that immigration brings in at step 0.
@@ -591,6 +600,20 @@ def test_polynomial_standard_error_finite_while_the_estimate_is():
                                replicates=2, master_seed=7).polynomial[400.0]
     assert math.isfinite(poly.estimate)
     assert math.isfinite(poly.std_error) and poly.std_error > 0
+
+
+@pytest.mark.parametrize("replicates", [1, 4])
+def test_an_exponential_moment_past_the_double_range_is_infinite_and_saturated(replicates):
+    # 1e308 |Y|_1 passes the double range once a count reaches 2; as an
+    # overflowing polynomial moment does, the estimate is +inf and its SE
+    # NaN, without a warning, and the average is flagged saturated.
+    spec = IngarchSpec(1, 1, [1.0], ([[0.3]],), ([[0.5]],))
+    report = monte_carlo_moments(spec, [1.0], [0.1, 1e308], T=200, burn_in=10,
+                                 replicates=replicates, master_seed=7)
+    huge = report.exponential[1e308]
+    assert huge.log_estimate == math.inf and math.isnan(huge.std_error) and huge.saturated
+    small = report.exponential[0.1]
+    assert math.isfinite(small.log_estimate) and math.isfinite(small.std_error) and not small.saturated
 
 
 def test_moments_reproducible_and_parallel_consistent():

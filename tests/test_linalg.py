@@ -276,3 +276,21 @@ def test_radius_bracket_is_tight_on_periodic_blocks(period):
     _, lo, hi = linalg.certified_radius(weighted)
     rho = 0.9 * math.factorial(period) ** (1.0 / period)
     assert lo <= rho * (1 + 1e-14) and rho * (1 - 1e-14) <= hi and hi - lo < 1e-13 * rho
+
+
+def test_overflowed_sums_get_exact_radii_and_infinite_norms():
+    # An infinite entry between strong components changes no radius; inside
+    # one, or on the diagonal, it makes that block's radius +inf.
+    inf = math.inf
+    assert linalg.perron_bracket(np.array([[0.5, inf], [0.0, 0.25]])) == (0.5, 0.5, 0.5)
+    assert linalg.perron_bracket(np.array([[0.5, inf], [1e-300, 0.25]])) == (inf, inf, inf)
+    assert linalg.perron_bracket(np.array([[0.5, 0.0], [0.0, inf]])) == (inf, inf, inf)
+    assert linalg.abs_sum_norm(np.array([[0.5, inf], [0.0, 0.25]]), 1) == inf
+    huge = [[1.7e308, 1.7e308], [0.0, 0.0]]  # finite entries, sums past the double range
+    assert linalg.matrix_norm(huge, "linf") == linalg.matrix_norm(np.transpose(huge), "l1") == inf
+    # Outside input is still checked: a non-finite entry is refused.
+    for bad in ([[inf, 0.0], [0.0, 0.5]], [[math.nan, 0.0], [0.0, 0.5]]):
+        with pytest.raises(ValueError):
+            linalg.certified_radius(bad)
+        with pytest.raises(ValueError):
+            linalg.matrix_norm(bad, "linf")

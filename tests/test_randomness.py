@@ -153,28 +153,21 @@ def test_gaussian_scheme_validation():
 
 
 def test_zero_intensities_give_zero_counts():
-    lam = np.zeros(3)
+    out = CountNoise(3, make_stream(1, 0, 0)).at(np.zeros(3))
+    assert np.array_equal(out, np.zeros(3, dtype=np.int64))
     for dep in (Dependence(), Dependence("comonotone"),
                 Dependence("gaussian", np.eye(3))):
-        out = CountNoise(dep, len(lam), make_stream(1, 0, 0)).at(lam)
-        assert np.array_equal(out, np.zeros(3, dtype=np.int64))
-
-
-def test_comonotone_equal_marginals_are_identical():
-    dep = Dependence("comonotone")
-    lam = np.array([3.0, 3.0])
-    for t in range(2000):
-        out = CountNoise(dep, len(lam), make_stream(2, 0, t)).at(lam)
-        assert out[0] == out[1]
+        for chains in (1, 2):
+            out = shared_counts(block_rng(1, 0), dep, np.zeros((chains, 4, 3)))
+            assert np.array_equal(out, np.zeros((chains, 4, 3), dtype=np.int64))
 
 
 def test_independent_marginal_means():
     lam = np.array([2.0, 5.0])
-    dep = Dependence()
     n = 100000
     draws = np.empty((n, 2))
     for t in range(n):
-        draws[t] = CountNoise(dep, len(lam), make_stream(3, 0, t)).at(lam)
+        draws[t] = CountNoise(len(lam), make_stream(3, 0, t)).at(lam)
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - lam) < 3 * se)
 
@@ -203,35 +196,20 @@ def _chi_square(samples: np.ndarray, law) -> float:
     return float(scipy.stats.chi2.sf(stat, len(exp) - 1))
 
 
-@pytest.mark.parametrize("scheme", ["independent", "comonotone", "gaussian"])
-def test_marginals_poisson_under_every_scheme(scheme):
+def test_independent_noise_marginals_are_poisson():
+    # The copulas' marginals are checked on the code that draws them, in
+    # test_shared_counts_marginals_and_monotone_coupling.
     lam = np.array([2.0, 5.0])
-    if scheme == "gaussian":
-        dep = Dependence("gaussian", [[1.0, 0.6], [0.6, 1.0]])
-    else:
-        dep = Dependence(scheme)
     n = 100000
     draws = np.empty((n, 2), dtype=np.int64)
     for t in range(n):
-        draws[t] = CountNoise(dep, len(lam), make_stream(11, 0, t)).at(lam)
+        draws[t] = CountNoise(len(lam), make_stream(11, 0, t)).at(lam)
     for j in range(2):
         assert _chi_square_poisson(draws[:, j], lam[j]) > 0.001
 
 
-@pytest.mark.parametrize("scheme", ["comonotone", "gaussian"])
-def test_copula_noise_is_the_poisson_quantile_of_its_scores(scheme):
-    dep = Dependence("gaussian", [[1.0, 0.6], [0.6, 1.0]]) if scheme == "gaussian" else Dependence(scheme)
-    lam = np.array([2.0, 5.0])
-    for t in range(200):
-        rng = make_stream(13, 0, t).rng
-        scores = np.full(2, rng.standard_normal()) if scheme == "comonotone" \
-            else dep.cholesky @ rng.standard_normal(2)
-        got = CountNoise(dep, 2, make_stream(13, 0, t)).at(lam)
-        assert np.array_equal(got, poisson_quantile(scores, lam))
-
-
 def test_intensity_limit_raises_divergence():
-    noise = CountNoise(Dependence(), 1, make_stream(1, 0, 0))
+    noise = CountNoise(1, make_stream(1, 0, 0))
     with pytest.raises(DivergenceError):
         noise.at(np.array([2e18]))
 
