@@ -17,6 +17,7 @@ result record of a report, in JSON types.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -94,21 +95,48 @@ class ExperimentConfig:
         object.__setattr__(self, "output", output)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a YAML/JSON experiment document."""
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, reading a plain scalar with an exponent as a float.
+
+    YAML 1.1 reads ``1e-05``, ``1e+18`` and ``5e4`` as strings (its floats
+    need a decimal point and a signed exponent); JSON and YAML 1.2 read
+    them as numbers, and ``json.dumps`` writes them.  The rule is tried
+    after YAML 1.1's own float and int rules and needs an exponent, so every
+    scalar those rules read keeps its value; quoted scalars stay strings.
+    """
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+                              list("-+0123456789."))
+
+
+def parse_config(text: str | bytes) -> ExperimentConfig:
+    """Parse and fully validate a YAML/JSON experiment document.
+
+    ``text`` is a string, or bytes in UTF-8 or in UTF-16 with a BOM.  Numbers
+    may carry an exponent, as in JSON (see :class:`_Loader`).  Bytes that do
+    not decode, a syntax error and nesting past the reader's recursion limit
+    are each one :class:`ConfigError` problem.
+    """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
+    except yaml.reader.ReaderError as exc:  # bytes that do not decode, or a character YAML refuses
+        raise ConfigError([f"parse error at position {exc.position}: {str(exc).splitlines()[0]}"]) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError([f"parse error{where}: {getattr(exc, 'problem', exc)}"]) from exc
+    except RecursionError as exc:
+        raise ConfigError(["document: nested too deeply to read"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["document: expected a mapping at the top level"])
     return from_mapping(ExperimentConfig, raw)
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    """:func:`parse_config` of the file's bytes, which the YAML reader decodes (UTF-8, or UTF-16 by its BOM)."""
+    with open(path, "rb") as fh:
         return parse_config(fh.read())
 
 

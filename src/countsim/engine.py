@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError, Problems, checked_array, checked_int
+from .errors import ConfigError, DivergenceError, Problems, checked_array, checked_int
 from .models import (
     ModelSpec,
     block_state,
@@ -273,7 +273,10 @@ def _coupling(spec: ModelSpec, n: int, window_a, window_b, master_seed: int,
               blocks: list[tuple[int, int]], jobs: int) -> CouplingEnsemble:
     """The coupled ``(block, size)`` blocks from the two windows, averaged over replicates."""
     rows = [validate_window(spec, window_a), validate_window(spec, window_b)]
-    initial = float(window_distance(block_state(rows))[0])
+    with np.errstate(over="ignore"):  # a sum past the double range is +inf, refused next
+        initial = float(window_distance(block_state(rows))[0])
+    if not math.isfinite(initial):
+        raise ConfigError([f"window_b: expected a finite l1 distance from window_a, got {initial}"])
     tasks = [(_couple_block, spec, (n, *rows), size, master_seed, b) for b, size in blocks]
     stacked = np.concatenate(_map_blocks(tasks, jobs))
     mean_distances = stacked.mean(axis=0)
@@ -391,48 +394,39 @@ def _relative_se(log_means: np.ndarray) -> float:
     return float(np.std(scaled, ddof=1) / (np.mean(scaled) * math.sqrt(len(scaled))))
 
 
-class _MomentFold:
-    """Per-replicate, per-batch statistics of a block's l1 sizes.
+def _fold(sizes, replicates: int, T: int, r_values, delta_values) -> tuple:
+    """``(sums, lse, top)``: per-replicate, per-batch statistics of a block's l1 sizes.
 
-    Each replicate's path of ``T`` sizes is cut into the batches of
-    :func:`_batch_lengths`; sizes go into a buffer one batch long, and a full
-    batch is folded into its cell: the sum of ``s ** r`` and the log-sum-exp
-    of ``delta * s``.  The ten largest ``s`` of every replicate are kept as
-    well (``delta > 0`` times them are the ten largest ``delta * s``, bit for
-    bit), so memory is O(replicates * sqrt(T)).
+    ``sizes`` yields ``T`` vectors, one size per replicate and step.  Each
+    replicate's path is cut into the batches of :func:`_batch_lengths`, and
+    each batch is folded into its cell: the sum of ``s ** r`` and the
+    log-sum-exp of ``delta * s``.  ``top`` holds the block's ten largest
+    ``s`` (``delta > 0`` times them are the ten largest ``delta * s``, bit
+    for bit), so memory is O(replicates * sqrt(T)).
     """
-
-    def __init__(self, replicates: int, T: int, r_values, delta_values):
-        self.lengths = _batch_lengths(T)
-        self.batch = self.fill = 0
-        self.buffer = np.empty((replicates, self.lengths.max()))
-        self.sums = {r: np.empty((replicates, len(self.lengths))) for r in r_values}
-        self.lse = {d: np.empty((replicates, len(self.lengths))) for d in delta_values}
-        self.top = np.empty((replicates, 0))
-
-    def push(self, sizes: np.ndarray) -> None:
-        """Append one step's l1 sizes, one per replicate."""
-        self.buffer[:, self.fill] = sizes
-        self.fill += 1
-        if self.fill < self.lengths[self.batch]:
-            return
-        batch = self.buffer[:, :self.fill]
+    lengths = _batch_lengths(T)
+    buffer = np.empty((replicates, lengths.max()))
+    sums = {r: np.empty((replicates, len(lengths))) for r in r_values}
+    lse = {d: np.empty((replicates, len(lengths))) for d in delta_values}
+    top = np.empty(0)
+    for b, length in enumerate(lengths):
+        for i, size in zip(range(length), sizes):
+            buffer[:, i] = size
+        batch = buffer[:, :length]
         with np.errstate(over="ignore"):  # see monte_carlo_moments
-            for r in self.sums:
-                self.sums[r][:, self.batch] = np.sum(batch**r, axis=1)
-            for d in self.lse:
-                self.lse[d][:, self.batch] = _logsumexp(d * batch, axis=1)
-        self.top = np.sort(np.concatenate((self.top, batch), axis=1), axis=1)[:, -10:]
-        self.batch, self.fill = self.batch + 1, 0
+            for r in sums:
+                sums[r][:, b] = np.sum(batch**r, axis=1)
+            for d in lse:
+                lse[d][:, b] = _logsumexp(d * batch, axis=1)
+        top = np.sort(np.concatenate((top, batch), axis=None))[-10:]
+    return sums, lse, top
 
 
 def _moment_block(spec: ModelSpec, exp: MomentsExperiment, replicates: int, rng: np.random.Generator) -> tuple:
-    """``(sums, lse, top)`` of :class:`_MomentFold` for one block after burn-in."""
-    fold = _MomentFold(replicates, exp.T, exp.r_values, exp.delta_values)
+    """:func:`_fold` of one block's l1 sizes after burn-in, from the default window."""
     state = block_state([validate_window(spec, default_window(spec))], replicates)
-    for _, y, _ in _lockstep(spec, state, rng, exp.burn_in, exp.T):
-        fold.push(y[0].sum(axis=1))
-    return fold.sums, fold.lse, fold.top
+    sizes = (y[0].sum(axis=1) for _, y, _ in _lockstep(spec, state, rng, exp.burn_in, exp.T))
+    return _fold(sizes, replicates, exp.T, exp.r_values, exp.delta_values)
 
 
 def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,

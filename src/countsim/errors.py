@@ -53,7 +53,9 @@ def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str)
     The one rule for a number: every entry is a real number, and booleans and
     strings are not, as for :func:`checked_int`; an integer no float holds is
     refused too.  An integer or float array needs no look at its entries;
-    anything else, nested lists included, is looked at entry by entry.
+    anything else, nested lists included, is looked at entry by entry once
+    its rank and shape match ``shape`` (so a list nested past numpy's 32
+    iterable dimensions is a wrong shape, not an error).
     ``None`` in ``shape`` matches any length, and ``()`` asks for one number.
     ``rule`` is ``"real"`` (finite entries), ``"nonnegative"`` or ``"count"``
     (nonnegative integers below 2**53, which a float holds exactly); a broken
@@ -62,12 +64,13 @@ def checked_array(value, shape: tuple, path: str, problems: Problems, rule: str)
     numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
     entries = value if numeric else np.asarray(value, dtype=object)
     arr = None
-    if numeric or all(isinstance(v, Real) and not isinstance(v, bool) for v in entries.flat):
+    if entries.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, entries.shape)) \
+            and (numeric or all(isinstance(v, Real) and not isinstance(v, bool) for v in entries.flat)):
         try:
             arr = np.array(entries, dtype=float)
         except OverflowError:  # an integer no float holds
             pass
-    if arr is None or arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+    if arr is None:
         if not shape:
             what = "a number"
         elif len(shape) == 1:

@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from countsim import cli, linalg
-from countsim.config import ConfigError, parse_config, plain
+from countsim.config import ConfigError, parse_config, parse_config_file, plain
+from countsim.errors import Problems, checked_array
 from countsim.models import IngarchSpec
 from countsim.randomness import Dependence
 from test_workload_configs import _load_workloads
@@ -236,6 +238,79 @@ def test_library_calls_refuse_what_is_not_a_number(build, problem):
     with pytest.raises(ConfigError) as err:
         build()
     assert err.value.problems == [problem]
+
+
+def _nested(depth: int, leaf=1.0):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize("depth", [33, 70])
+def test_a_list_nested_past_numpys_iteration_limit_is_a_wrong_shape(depth):
+    # numpy iterates at most 32 dimensions and builds at most 64.
+    problems = Problems()
+    assert checked_array(_nested(depth), (1,), "offset", problems, "real") is None
+    assert problems.items == ["offset: expected a vector of 1 numbers"]
+    with pytest.raises(ConfigError) as err:
+        IngarchSpec(1, 1, _nested(depth), ([[0.3]],), ([[0.5]],))
+    assert err.value.problems == ["intensity_offset: expected a vector of 1 numbers"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(offset=st.floats(min_value=0.0, max_value=1e18))
+def test_every_number_json_writes_parses_back_to_itself(offset):
+    # json.dumps writes 1e-05 and 1e+16, which YAML 1.1 reads as strings.
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["model"]["intensity_offset"] = [offset, 1.0]
+    assert parse_config(json.dumps(raw)).model.intensity_offset[0] == offset
+
+
+@pytest.mark.parametrize("text, value", [("1e3", 1000.0), ("1.5e3", 1500.0), ("1e-3", 0.001)])
+def test_yaml_numbers_with_an_exponent_are_floats_and_quoted_ones_strings(text, value):
+    def offset(entry):
+        return MINIMAL_CHECK.replace("seed: 1", "seed: 1_000").replace("[1.0, 1.0]", f"[{entry}, 1.0]")
+
+    config = parse_config(offset(text))
+    assert config.model.intensity_offset.tolist() == [value, 1.0]
+    assert config.seed == 1000  # YAML 1.1's integers read as they did
+    with pytest.raises(ConfigError) as err:
+        parse_config(offset(f'"{text}"'))
+    assert err.value.problems == ["model.intensity_offset: expected a vector of 2 numbers"]
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"seed: 7\n\xff\xfe bad\n", "parse error at position 8: unacceptable character #x00ff",
+                 id="not-utf-8"),
+    pytest.param(b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n", "document: nested too deeply to read",
+                 id="past-the-recursion-limit"),
+    pytest.param(MINIMAL_CHECK.replace("[1.0, 1.0]", json.dumps(_nested(40))).encode(),
+                 "model.intensity_offset: expected a vector of 2 numbers", id="40-levels"),
+])
+def test_config_text_the_reader_cannot_read_exits_1_with_a_message(tmp_path, capsys, data, message):
+    config = tmp_path / "config.yaml"
+    config.write_bytes(data)
+    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and message in err and "Traceback" not in err
+
+
+def test_a_couple_whose_windows_are_past_the_double_range_apart_exits_1(tmp_path, capsys):
+    raw = yaml.safe_load((CONFIG_DIR / "ingarch_couple.yaml").read_text(encoding="utf-8"))
+    raw["experiment"].update(n=50, replicates=4)
+    raw["experiment"]["window_b"] = {"counts": [[10, 10]], "intensities": [[1.7e308, 1.7e308]]}
+    out = tmp_path / "out"
+    assert cli.main(["couple", "--config", write(tmp_path, yaml.safe_dump(raw)), "--out", str(out), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "window_b: expected a finite l1 distance from window_a, got inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_utf_16_config_with_a_bom_reads_as_its_utf_8_text(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_bytes(MINIMAL_CHECK.encode("utf-16"))
+    assert plain(parse_config_file(config)) == plain(parse_config(MINIMAL_CHECK))
+    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_window_counts_must_be_integers_and_numbers():

@@ -8,6 +8,7 @@ say why on stderr.
 
 import contextlib
 import copy
+import functools
 import io
 import math
 import sys
@@ -23,7 +24,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 _SHRUNK = {"T": 30, "burn_in": 5, "n": 10, "replicates": 3}
 
-HOSTILE = [True, False, "1", "abc", math.nan, math.inf, -math.inf, -1, 2**63, 2**70, 10**400, 1e19,
+# First comes a list nested 40 deep, past the 32 dimensions numpy iterates:
+# hypothesis draws the first entries most often, and this one breaks numpy only
+# where it replaces the entry of a one-entry vector.
+HOSTILE = [functools.reduce(lambda inner, _: [inner], range(40), 1.0),
+           True, False, "1", "abc", math.nan, math.inf, -math.inf, -1, 2**63, 2**70, 10**400, 1e19,
            sys.float_info.max, [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1}]
 
 

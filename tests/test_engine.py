@@ -445,6 +445,20 @@ def test_couple_rejects_non_integer_window_counts():
                default_window(ingarch), master_seed=1)
 
 
+def test_windows_a_distance_past_the_double_range_apart_are_refused_before_any_block(monkeypatch):
+    # The model of configs/ingarch_couple.yaml: lambda reads no intensity, so the
+    # chains meet within a few steps, and the fit took log(inf) and reported NaN.
+    spec = IngarchSpec(2, 1, [1.0, 1.0], ([[0.0, 0.0], [0.0, 0.0]],), ([[0.5, 0.4], [0.0, 0.5]],))
+    far = {"counts": [[10, 10]], "intensities": [[1.7e308, 1.7e308]]}
+    assert couple(spec, 20, far, far).fitted_rate == "degenerate-equal"  # such a window runs
+    monkeypatch.setattr(engine, "_map_blocks", lambda *args: pytest.fail("a block ran"))
+    for run in (lambda: couple(spec, 50, default_window(spec), far, master_seed=502),
+                lambda: couple_ensemble(spec, 50, default_window(spec), far, master_seed=502, replicates=4)):
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert err.value.problems == ["window_b: expected a finite l1 distance from window_a, got inf"]
+
+
 def test_couple_single_run_reproducible():
     spec = stationary_2d()
     wa = default_window(spec)
@@ -547,7 +561,7 @@ def test_saturation_flag_reports_heavy_domination():
 
 
 def test_moment_fold_batches_match_direct_statistics():
-    from countsim.engine import _batch_lengths, _logsumexp, _MomentFold
+    from countsim.engine import _batch_lengths, _fold, _logsumexp
 
     def ends(T):
         return [(i + 1) * T // math.isqrt(T) for i in range(math.isqrt(T))]
@@ -563,15 +577,13 @@ def test_moment_fold_batches_match_direct_statistics():
         assert np.cumsum(lengths[:i + 1])[-1] == (i + 1) * T // batches
     T = 2507  # 50 batches of 50 or 51 steps
     sizes = np.random.default_rng(14).poisson(6.0, size=(3, T)).astype(float)
-    fold = _MomentFold(3, T, [1.0, 2.5], [0.3])
-    for column in sizes.T:
-        fold.push(column)
+    sums, lse, top = _fold(iter(sizes.T), 3, T, [1.0, 2.5], [0.3])
     for i, (start, end) in enumerate(zip([0] + ends(T)[:-1], ends(T))):
         batch = sizes[:, start:end]
         for r in (1.0, 2.5):
-            np.testing.assert_allclose(fold.sums[r][:, i], np.sum(batch**r, axis=1), rtol=1e-12)
-        np.testing.assert_allclose(fold.lse[0.3][:, i], _logsumexp(0.3 * batch, axis=1), rtol=1e-12)
-    assert np.array_equal(0.3 * fold.top, np.sort(0.3 * sizes, axis=1)[:, -10:])
+            np.testing.assert_allclose(sums[r][:, i], np.sum(batch**r, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(lse[0.3][:, i], _logsumexp(0.3 * batch, axis=1), rtol=1e-12)
+    assert np.array_equal(0.3 * top, np.sort(0.3 * sizes, axis=None)[-10:])
 
 
 def test_single_replicate_standard_error_accounts_for_dependence():
