@@ -96,26 +96,43 @@ class ExperimentConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, which follows YAML 1.1, reading a plain scalar with an exponent as a float.
+    """PyYAML's safe loader reading plain scalars by YAML 1.2's core schema, as JSON reads numbers.
 
-    YAML 1.1 reads ``1e-05``, ``1e+18`` and ``5e4`` as strings (its floats
-    need a decimal point and a signed exponent); JSON and YAML 1.2 read
-    them as numbers, and ``json.dumps`` writes them.  The rule is tried
-    after YAML 1.1's own float and int rules and needs an exponent, so every
-    scalar those rules read keeps its value; quoted scalars stay strings.
+    PyYAML follows YAML 1.1, which reads ``0755`` as 493 (octal), ``1:30``
+    as 90 (base 60), ``1_000`` as 1000, ``yes``/``no``/``on``/``off`` as
+    booleans and ``1e-05`` as a string.  Here a plain scalar is null
+    (``null``, ``~`` or empty), ``true``/``false``, a decimal, ``0o`` or
+    ``0x`` integer (``0755`` reads 755), a float with an optional exponent,
+    ``.inf`` or ``.nan``, in the spellings YAML 1.2 lists; anything else is
+    a string.  Merge keys (``<<``) still merge; quoted scalars stay strings.
     """
 
+    yaml_implicit_resolvers: dict = {}
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-                              list("-+0123456789."))
+
+def _int(loader: _Loader, node) -> int:
+    """A YAML 1.2 integer: decimal (leading zeros allowed), ``0o`` octal or ``0x`` hexadecimal."""
+    text = loader.construct_scalar(node)
+    return int(text, 0) if text.lstrip("+-")[:2] in ("0o", "0x") else int(text)
+
+
+for _tag, _pattern, _first in (
+        ("null", r"~|null|Null|NULL|", ["~", "n", "N", ""]),
+        ("bool", r"true|True|TRUE|false|False|FALSE", list("tTfF")),
+        ("int", r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+", list("-+0123456789")),
+        ("float", r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+                  r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)", list("-+0123456789.")),
+        ("merge", r"<<", ["<"])):
+    _Loader.add_implicit_resolver(f"tag:yaml.org,2002:{_tag}", re.compile(f"^(?:{_pattern})$"), _first)
+_Loader.add_constructor("tag:yaml.org,2002:int", _int)
 
 
 def parse_config(text: str | bytes) -> ExperimentConfig:
     """Parse and fully validate a YAML/JSON experiment document.
 
-    ``text`` is a string, or bytes in UTF-8 or in UTF-16 with a BOM.  Numbers
-    may carry an exponent, as in JSON (see :class:`_Loader`).  Bytes that do
+    ``text`` is a string, or bytes in UTF-8 or in UTF-16 with a BOM.  Plain
+    scalars read by YAML 1.2's core schema, so numbers read as in JSON (see
+    :class:`_Loader`).  Bytes that do
     not decode, a syntax error and nesting past the reader's recursion limit
     are each one :class:`ConfigError` problem.
     """

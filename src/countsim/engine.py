@@ -3,12 +3,13 @@
 Everything here is a pure function of ``(spec, parameters, master_seed)``.
 Replicates run in fixed blocks of :data:`BLOCK_SIZE` that advance in
 lockstep, as one array state, on one persistent generator per block
-addressed by ``(master_seed, block)``.  With ``jobs > 1`` whole blocks go to
-worker processes; block results merge in replicate order either way.  The
-partition depends only on the replicate count, so every output is the same
-for every ``jobs`` value.  :func:`couple` runs a block of one, addressed by
-``(master_seed, replicate_id)``; :func:`simulate` steps one chain's companion
-row on that generator.  All three run through one loop, :func:`_lockstep`.
+addressed by ``(master_seed, block)``.  With ``jobs > 1`` a run long enough
+to pay for them sends whole blocks to worker processes; block results merge
+in replicate order either way.  The partition depends only on the replicate
+count, so every output is the same for every ``jobs`` value.  :func:`couple`
+runs a block of one, addressed by ``(master_seed, replicate_id)``;
+:func:`simulate` steps one chain's companion row on that generator.  All
+three run through one loop, :func:`_lockstep`.
 
 Coupled chains are the two chains of one block state, driven through the
 same noise at every step: one Poisson process per coordinate counted at each
@@ -48,6 +49,10 @@ BLOCK_SIZE = 64
 #: Run lengths (``T + burn_in``, ``n``) and replicate counts lie below
 #: ``2**RUN_BITS``, the int64 of numpy's shapes and of the step index.
 RUN_BITS = 63
+
+#: Block-steps (blocks times steps per block) below which a run's blocks run
+#: in the calling process whatever ``jobs`` says; see :func:`_map_blocks`.
+POOL_MIN_BLOCK_STEPS = 2000
 
 _CSV_CHUNK_ROWS = 4096
 
@@ -219,6 +224,8 @@ def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str
     The first exact zero (integer chains can coalesce) ends the fit window
     ``[start, end)``; every distance before it is positive.  The window
     starts at ``n // 4``, or at 0 when that leaves fewer than two distances.
+    The slope is the closed form ``sum(dx * dy) / sum(dx * dx)`` about the
+    means; it agrees with ``np.polyfit``'s to a few ulps and needs no LAPACK.
     """
     n = len(distances)
     series = [initial] + distances  # index = iterations applied
@@ -229,13 +236,22 @@ def _fit_decay_rate(initial: float, distances: list[float]) -> tuple[float | str
     start = n // 4 if end - n // 4 >= 2 else 0
     if end - start < 2:
         return "coalesced", (0, end)
-    xs = np.arange(start, end, dtype=float)
+    dx = np.arange(start, end, dtype=float) - (start + end - 1) / 2  # exact: the mean is a half-integer
     ys = np.array([np.log(series[i]) for i in range(start, end)])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = float(dx @ (ys - ys.mean()) / (dx @ dx))
     rate = float(np.exp(slope))
     if rate > 1.0:
         return "no-decay", (start, end)
     return rate, (start, end)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a vector, bit for bit, from ``np.partition``; ``np.median`` loads ``numpy.ma``."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1:half + 1]
+    return float((low + high) / 2)
 
 
 @dataclass(eq=False)
@@ -246,7 +262,10 @@ class CouplingEnsemble:
     one of the flags ``"no-decay"`` (least-squares slope not below zero),
     ``"degenerate-equal"`` (identical start windows) or ``"coalesced"``
     (chains met exactly before a slope could be fitted).
-    ``final_mean_distance`` is the last entry of ``mean_distances``.
+    ``final_mean_distance`` is the last entry of ``mean_distances``, and
+    ``median_final_distance`` the median over replicates of the last
+    distances.  Every field is the same for every ``jobs`` value, whether
+    the blocks ran in process or in workers.
     """
 
     replicates: int
@@ -271,14 +290,20 @@ def _couple_block(spec: ModelSpec, n: int, window_a, window_b, replicates: int,
 
 def _coupling(spec: ModelSpec, n: int, window_a, window_b, master_seed: int,
               blocks: list[tuple[int, int]], jobs: int) -> CouplingEnsemble:
-    """The coupled ``(block, size)`` blocks from the two windows, averaged over replicates."""
+    """The coupled ``(block, size)`` blocks from the two windows, averaged over replicates.
+
+    Each block runs ``n`` steps, placed by :func:`_map_blocks`.  The summary
+    takes its median from ``np.partition`` and its rate from a closed-form
+    slope (:func:`_fit_decay_rate`), so a run in process loads neither
+    ``numpy.ma`` nor LAPACK's least squares.
+    """
     rows = [validate_window(spec, window_a), validate_window(spec, window_b)]
     with np.errstate(over="ignore"):  # a sum past the double range is +inf, refused next
         initial = float(window_distance(block_state(rows))[0])
     if not math.isfinite(initial):
         raise ConfigError([f"window_b: expected a finite l1 distance from window_a, got {initial}"])
     tasks = [(_couple_block, spec, (n, *rows), size, master_seed, b) for b, size in blocks]
-    stacked = np.concatenate(_map_blocks(tasks, jobs))
+    stacked = np.concatenate(_map_blocks(tasks, jobs, n))
     mean_distances = stacked.mean(axis=0)
     rate, fit_window = _fit_decay_rate(initial, [float(v) for v in mean_distances])
     return CouplingEnsemble(
@@ -287,7 +312,7 @@ def _coupling(spec: ModelSpec, n: int, window_a, window_b, master_seed: int,
         initial_distance=initial,
         mean_distances=mean_distances,
         final_mean_distance=float(mean_distances[-1]),
-        median_final_distance=float(np.median(stacked[:, -1])),
+        median_final_distance=_median(stacked[:, -1]),
         fitted_rate=rate,
         fit_window=fit_window,
     )
@@ -319,7 +344,8 @@ def couple_ensemble(spec: ModelSpec, n: int, window_a, window_b, master_seed: in
 
     Replicates run in lockstep blocks; block ``b`` draws all its noise from
     ``(master_seed, b)``.  The decay rate is fitted on the replicate-mean
-    curve.  With ``jobs > 1`` blocks run in up to ``jobs`` worker processes.
+    curve.  With ``jobs > 1`` blocks run in up to ``jobs`` worker processes
+    once the run has :data:`POOL_MIN_BLOCK_STEPS` block-steps.
     """
     CoupleExperiment(n, window_a, window_b, replicates)  # checks the run parameters
     check_lineage(master_seed=master_seed)
@@ -458,7 +484,7 @@ def monte_carlo_moments(spec: ModelSpec, r_values, delta_values, T: int,
     exp = MomentsExperiment(r_values, delta_values, T, burn_in, replicates)
     check_lineage(master_seed=master_seed)
     tasks = [(_moment_block, spec, (exp,), size, master_seed, b) for b, size in _blocks(replicates)]
-    blocks = _map_blocks(tasks, jobs)
+    blocks = _map_blocks(tasks, jobs, exp.T + exp.burn_in)
     total = replicates * T
     by_replicate = replicates > 1  # else the units are the batches of the one path
     counts = np.full(replicates, float(T)) if by_replicate else _batch_lengths(T).astype(float)
@@ -493,19 +519,29 @@ def _block_task(args):
     return fn(spec, *params, size, block_rng(master_seed, block))
 
 
-def _map_blocks(tasks, jobs: int) -> list:
+def _map_blocks(tasks, jobs: int, steps: int) -> list:
     """Results of the block tasks (see :func:`_block_task`) in block order.
 
-    An error is the first failing block's, in block order, for every ``jobs``.
-    With ``jobs > 1`` the blocks run in worker processes, even a single
-    block.  For a single block the pool exists only to keep peak RSS down:
-    the calling process then never loads ``numpy.random`` or holds a block's
-    working set.  ``countsim couple --config configs/ginar_couple.yaml`` (one
-    block; 10 alternating fresh-process runs each, 2 vCPUs, Python 3.11,
-    numpy 2.4) took a median 0.35 s at ``--jobs 1`` and 0.42 s at ``--jobs 2``,
-    and its largest process (``wait4``'s ``ru_maxrss``) 39.4 and 34.8 MB.
+    ``steps`` is the number of steps each block runs.  An error is the first
+    failing block's, in block order, for every ``jobs``.  A run of fewer than
+    :data:`POOL_MIN_BLOCK_STEPS` block-steps (blocks times ``steps``) runs in
+    the calling process whatever ``jobs`` says; so does every run at
+    ``jobs == 1``.  Otherwise the blocks go to ``min(jobs, blocks)`` worker
+    processes, even a single block.
+
+    The threshold is where two workers pay.  They save at most half the work
+    and cost 25-45 ms more than running in process, so they pay only above
+    about 90 ms of work; a block-step costs about 35-70 us, which puts that at
+    roughly 1,300-2,600 block-steps.  Within couple-mix's ``ginar_couple`` run
+    (2 blocks of 200 steps; 2 vCPUs, Python 3.11, numpy 2.4) the blocks took
+    34-44 ms in process, ``numpy.random``'s import included, 58-60 ms with one
+    worker and 76-79 ms with two.  A single long block still goes to a worker,
+    which buys no time but keeps peak RSS down: the calling process then never
+    loads ``numpy.random`` or holds a block's working set.  Each
+    ``moments-highcount`` benchmark run (one block of 5,500 steps) peaks at
+    34.0 MB that way against 38.9 MB in process (``wait4``'s ``ru_maxrss``).
     """
-    if jobs <= 1:
+    if jobs <= 1 or len(tasks) * steps < POOL_MIN_BLOCK_STEPS:
         return [_block_task(task) for task in tasks]
     import multiprocessing
 

@@ -14,7 +14,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from countsim import cli, linalg
+from countsim import cli, engine, linalg
 from countsim.config import ConfigError, parse_config, parse_config_file, plain
 from countsim.errors import Problems, checked_array
 from countsim.models import IngarchSpec
@@ -269,14 +269,35 @@ def test_every_number_json_writes_parses_back_to_itself(offset):
 @pytest.mark.parametrize("text, value", [("1e3", 1000.0), ("1.5e3", 1500.0), ("1e-3", 0.001)])
 def test_yaml_numbers_with_an_exponent_are_floats_and_quoted_ones_strings(text, value):
     def offset(entry):
-        return MINIMAL_CHECK.replace("seed: 1", "seed: 1_000").replace("[1.0, 1.0]", f"[{entry}, 1.0]")
+        return MINIMAL_CHECK.replace("seed: 1", "seed: 01000").replace("[1.0, 1.0]", f"[{entry}, 1.0]")
 
     config = parse_config(offset(text))
     assert config.model.intensity_offset.tolist() == [value, 1.0]
-    assert config.seed == 1000  # YAML 1.1's integers read as they did
+    assert config.seed == 1000  # a leading zero is decimal, as in YAML 1.2
     with pytest.raises(ConfigError) as err:
         parse_config(offset(f'"{text}"'))
     assert err.value.problems == ["model.intensity_offset: expected a vector of 2 numbers"]
+
+
+@pytest.mark.parametrize("old, new, read", [
+    pytest.param("seed: 1", "seed: 0755", 755, id="0755"),  # YAML 1.1: octal, 493
+    pytest.param("seed: 1", "seed: 0o17", 15, id="0o17"),  # YAML 1.1: a string
+    pytest.param("seed: 1", "seed: 1:30", "seed: expected an integer, got '1:30'", id="1:30"),  # 1.1: base 60, 90
+    pytest.param("seed: 1", "seed: 1_000", "seed: expected an integer, got '1_000'", id="1_000"),  # 1.1: 1000
+    *[pytest.param("kind: check", f"kind: check\noutput:\n  csv: {word}", "output.csv: expected a boolean",
+                   id=f"csv-{word}") for word in ("yes", "on", "no", "off")],  # YAML 1.1: booleans
+    pytest.param("q: 1", "q: 1\n  dependence:\n    scheme: off",  # YAML 1.1: False
+                 "model.dependence.scheme: expected one of ('independent', 'comonotone', 'gaussian'), got 'off'",
+                 id="scheme-off"),
+])
+def test_plain_scalars_read_by_yaml_1_2s_core_schema(old, new, read):
+    text = MINIMAL_CHECK.replace(old, new, 1)
+    if isinstance(read, int):
+        assert parse_config(text).seed == read
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [read]
 
 
 @pytest.mark.parametrize("data, message", [
@@ -517,10 +538,11 @@ def test_plain_is_one_rule_for_every_record():
     assert plain((1, np.array([-math.inf, 2.5]))) == [1, [None, 2.5]]
 
 
-def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
+def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path, monkeypatch):
     # Every output file of every shipped config at --seed 7, by SHA-256, under
-    # --jobs 1 and under --jobs 4: outputs do not depend on the worker count,
-    # and every run stays within 60 s.  numpy does not promise the Generator
+    # --jobs 1 and under --jobs 4 with workers forced (a short run would run
+    # in process): outputs do not depend on where blocks run or on the worker
+    # count, and every run stays within 60 s.  numpy does not promise the Generator
     # stream across releases, so the manifest names the version it was made
     # with.  A numpy upgrade, or a change that moves bits on purpose,
     # regenerates it from the digests the failing assertion prints.
@@ -528,6 +550,8 @@ def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path):
     assert np.__version__ == manifest["numpy"], \
         f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
     for jobs in ("1", "4"):
+        if jobs == "4":
+            monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)
         digests = {}
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             out = tmp_path / jobs / path.stem
@@ -547,14 +571,16 @@ def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch)
     # Every output file of every benchmark invocation, and of a check of its
     # model, at the manifest's seed and a reduced size.  They pin what no
     # shipped config reaches: the Gaussian copula, q > 1 and Poisson
-    # counting.  The same digests hold at --jobs 1 and 2, since outputs do
-    # not depend on the worker count.  Regenerated like the shipped configs'
+    # counting.  The same digests hold at --jobs 1 and at --jobs 2 with
+    # workers forced, since outputs do not depend on where blocks run.  Regenerated like the shipped configs'
     # digests, at the manifest's jobs.
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert np.__version__ == manifest["numpy"], \
         f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
     pinned = manifest["benchmark"]
     for jobs in ("1", "2"):
+        if jobs == "2":
+            monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)
         digests = {}
         for make in _load_workloads(monkeypatch).WORKLOADS.values():
             for inv in make(manifest["seed"], pinned["scale"], manifest["jobs"]).invocations:
@@ -626,6 +652,18 @@ def test_importing_the_package_loads_no_numpy_until_a_name_is_used():
     child = _child(["-c", probe])
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == ["False", "countsim.linalg", "True"]
+
+
+def test_a_short_couple_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
+    # Two blocks of 200 steps run in process at --jobs 2, and the summary's
+    # median and fit need neither numpy.ma nor LAPACK; each costs peak RSS.
+    probe = ("import sys; from countsim import cli; "
+             f"code = cli.main(['couple', '--config', {str(CONFIG_DIR / 'ginar_couple.yaml')!r}, "
+             f"'--jobs', '2', '--out', {str(tmp_path)!r}]); "
+             "print(code, 'numpy.ma' in sys.modules, 'multiprocessing' in sys.modules)")
+    child = _child(["-c", probe])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():

@@ -24,12 +24,27 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 _SHRUNK = {"T": 30, "burn_in": 5, "n": 10, "replicates": 3}
 
+
+class _Plain(str):
+    """Text written into the document unquoted, as a user would type it (``0755``, ``yes``)."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+# The tag the dumper's own (YAML 1.1) resolver gives the text lets it go out plain.
+_Dumper.add_representer(_Plain, lambda dumper, text: dumper.represent_scalar(
+    dumper.resolve(yaml.ScalarNode, text, (True, False)), text))
+
 # First comes a list nested 40 deep, past the 32 dimensions numpy iterates:
 # hypothesis draws the first entries most often, and this one breaks numpy only
-# where it replaces the entry of a one-entry vector.
+# where it replaces the entry of a one-entry vector.  The plain spellings are
+# numbers and booleans in YAML 1.1 or 1.2, most of them in only one of the two.
 HOSTILE = [functools.reduce(lambda inner, _: [inner], range(40), 1.0),
            True, False, "1", "abc", math.nan, math.inf, -math.inf, -1, 2**63, 2**70, 10**400, 1e19,
-           sys.float_info.max, [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1}]
+           sys.float_info.max, [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1},
+           *map(_Plain, ["0755", "1:30", "1_000", "yes", "on", "no", "off", "0o17", "0x1F", ".NaN", "-.Inf"])]
 
 
 def _shrunk(path: Path) -> dict:
@@ -70,7 +85,7 @@ def test_a_mutated_shipped_config_exits_0_1_or_2_with_a_message(data):
         _replace(document, path, data.draw(st.sampled_from(HOSTILE), label=".".join(map(str, path))))
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.yaml"
-        config.write_text(yaml.safe_dump(document), encoding="utf-8")
+        config.write_text(yaml.dump(document, Dumper=_Dumper), encoding="utf-8")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([command, "--config", str(config), "--jobs", "1", "--out", str(Path(tmp) / "out")])

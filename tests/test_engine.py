@@ -173,7 +173,8 @@ def test_a_draw_that_refuses_its_parameters_is_a_divergence():
     8,
     128,  # two blocks; at this seed block 1 diverges at 210, before block 0 at 212
 ])
-def test_a_divergence_in_a_pool_worker_keeps_its_index(replicates):
+def test_a_divergence_in_a_pool_worker_keeps_its_index(monkeypatch, replicates):
+    monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)  # a run this short would run in process
     spec = IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],))
     window = {"counts": [[4]], "intensities": [[3.0]]}
     errors = []
@@ -473,7 +474,8 @@ def test_couple_single_run_reproducible():
     assert r1.replicates == one.replicates == 1
 
 
-def test_couple_ensemble_parallel_matches_serial():
+def test_couple_ensemble_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)  # a run this short would run in process
     spec = stationary_2d()
     wa = default_window(spec)
     wb = {"counts": [[4, 4]], "intensities": [[3.0, 3.0]]}
@@ -487,6 +489,67 @@ def test_couple_ensemble_parallel_matches_serial():
     parallel = couple_ensemble(spec, 20, wa, wb, master_seed=9, replicates=130, jobs=2)
     assert np.array_equal(serial.mean_distances, parallel.mean_distances)
     assert serial.median_final_distance == parallel.median_final_distance
+
+
+def test_a_run_short_of_pool_min_block_steps_starts_no_worker(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class InlinePool:  # multiprocessing.Pool as _map_blocks uses it, run in process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    spec = stationary_2d()
+    wa, wb = default_window(spec), {"counts": [[4, 4]], "intensities": [[3.0, 3.0]]}
+    limit = engine.POOL_MIN_BLOCK_STEPS
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: pytest.fail("a worker started"))
+    couple_ensemble(spec, limit - 1, wa, wb, replicates=2, jobs=4)  # one block of limit - 1 steps
+    monte_carlo_moments(spec, [1.0], [0.1], T=limit - 11, burn_in=10, replicates=2, jobs=4)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    couple_ensemble(spec, limit, wa, wb, replicates=2, jobs=4)
+    monte_carlo_moments(spec, [1.0], [0.1], T=limit - 10, burn_in=10, replicates=2, jobs=4)  # burn-in counts
+    couple_ensemble(spec, limit // 2, wa, wb, replicates=65, jobs=4)  # two blocks of limit / 2 steps
+    assert started == [1, 1, 2]
+
+
+@pytest.mark.parametrize("values", [
+    [3.5],
+    [2.0, 1.0],
+    [5.0, 1.0, 3.0],
+    [1.0, 2.0, 2.0, 7.0],
+    [4.0] * 6,
+    [0.1, 0.2, 0.1, 0.2, 0.1],
+    np.round(np.random.default_rng(3).exponential(size=64), 1).tolist(),  # even, with ties
+    np.random.default_rng(4).exponential(size=65).tolist(),
+])
+def test_median_is_np_medians(values):
+    arr = np.array(values)
+    assert engine._median(arr) == np.median(arr)
+    assert arr.tolist() == values  # the input is not reordered
+
+
+def test_the_decay_fit_recovers_a_geometric_rate_and_agrees_with_polyfit():
+    for rate in (0.05, 0.3, 0.5, 0.9, 0.999):
+        fitted, _ = engine._fit_decay_rate(7.0, [7.0 * rate**k for k in range(1, 201)])
+        assert fitted == pytest.approx(rate, rel=1e-12)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n, rate = int(rng.integers(10, 200)), rng.uniform(0.2, 0.95)
+        distances = (10.0 * rate ** np.arange(1, n + 1) * np.exp(rng.normal(0.0, 0.05, n))).tolist()
+        fitted, (start, end) = engine._fit_decay_rate(10.0, distances)
+        ys = np.log([10.0, *distances][start:end])
+        expected = float(np.exp(np.polyfit(np.arange(start, end, dtype=float), ys, 1)[0]))
+        assert fitted == pytest.approx(expected, rel=8 * np.finfo(float).eps)
 
 
 def test_rate_fit_handles_immediate_coalescence():
