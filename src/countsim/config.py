@@ -109,6 +109,14 @@ class _Loader(yaml.SafeLoader):
 
     yaml_implicit_resolvers: dict = {}
 
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, IndexError, AttributeError) as exc:  # a tag refusing its text: !!float abc
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(None, None, f"{tag} cannot read {node.value!r}",
+                                                    node.start_mark) from exc
+
 
 def _int(loader: _Loader, node) -> int:
     """A YAML 1.2 integer: decimal (leading zeros allowed), ``0o`` octal or ``0x`` hexadecimal."""
@@ -132,9 +140,9 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
 
     ``text`` is a string, or bytes in UTF-8 or in UTF-16 with a BOM.  Plain
     scalars read by YAML 1.2's core schema, so numbers read as in JSON (see
-    :class:`_Loader`).  Bytes that do
-    not decode, a syntax error and nesting past the reader's recursion limit
-    are each one :class:`ConfigError` problem.
+    :class:`_Loader`).  Bytes that do not decode, a syntax error, a tag that
+    cannot read its text (``!!float abc``, at its line and column) and nesting
+    past the reader's recursion limit are each one :class:`ConfigError` problem.
     """
     try:
         raw = yaml.load(text, Loader=_Loader)

@@ -14,11 +14,11 @@ that holds arrays or mappings does.  :func:`step` advances a state of
 companion rows (see :func:`validate_window`): one chain's 1-D row, or a
 block of replicates, each with one or two coupled chains, in lockstep as one
 ``(chains, replicates, k)`` array, with the same arithmetic and draws.  Only
-a row of independent Poisson counts has a step of its own, one scalar call
-per count; every other row runs as a block of one.  The
-log-linear row holds mu and ``log(1 + y)``, the coordinates in which that
-model contracts, so coupling distances are measured where contraction
-actually happens.
+a linear row of independent Poisson counts has a step of its own, one scalar
+call per count; every other row, log-linear ones too, runs as a block of
+one.  The log-linear row holds mu and ``log(1 + y)``, the coordinates in
+which that model contracts, so coupling distances are measured where
+contraction actually happens.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/trace
 
 #: Any component of mu above this puts lambda past the intensity limit; treat as blow-up.
 MU_LIMIT = float(np.log(INTENSITY_LIMIT))
-
-_MU_EXCEEDED = f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary"
 
 #: GINAR counts above this are refused: thinning needs them exact in 64 bits.
 COUNT_LIMIT = 2**62
@@ -204,11 +202,11 @@ class ImmigrationSpec:
 
     def draw(self, stream: Stream) -> np.ndarray:
         """One immigration vector from a per-step stream."""
-        return self.sample(stream.rng)
+        return self.sample(stream.rng, 1)[0]
 
-    def sample(self, rng: np.random.Generator, replicates: int | None = None) -> np.ndarray:
-        """One vector, or a ``(replicates, p)`` array of independent ones."""
-        shape = self.values.shape if replicates is None else (replicates,) + self.values.shape
+    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+        """A ``(replicates, p)`` array of independent immigration vectors."""
+        shape = (replicates,) + self.values.shape
         if self.family == "poisson":
             return _draw(rng.poisson, _filled(self.values, shape))
         if self.family == "geometric":
@@ -413,7 +411,7 @@ def loglinear_block_step(spec: LogLinearSpec, state: np.ndarray, drift: np.ndarr
     p, q = spec.p, spec.q
     mu = drift[:, :, :p]
     if not mu.max() <= MU_LIMIT:  # also true for NaN
-        raise DivergenceError(_MU_EXCEEDED)
+        raise DivergenceError(f"log intensity exceeded {MU_LIMIT:g}; parameters appear nonstationary")
     lam = np.exp(mu)
     counts = shared_counts(rng, spec.dependence, lam)
     drift[:, :, q * p:(q + 1) * p] = np.log1p(counts)
@@ -433,19 +431,7 @@ def ingarch_chain_step(spec: IngarchSpec, drift: np.ndarray, rng: np.random.Gene
     return drift, counts, lam
 
 
-def loglinear_chain_step(spec: LogLinearSpec, drift: np.ndarray, rng: np.random.Generator):
-    """:func:`loglinear_block_step` for one chain's row of independent counts, mu read once as floats."""
-    p, q = spec.p, spec.q
-    if not all(mu <= MU_LIMIT for mu in drift[:p].tolist()):  # also true for NaN
-        raise DivergenceError(_MU_EXCEEDED)
-    lam = np.exp(drift[:p]).tolist()
-    counts = list(map(rng.poisson, lam))
-    drift[q * p:(q + 1) * p] = np.log1p(counts)
-    return drift, counts, lam
-
-
 _BLOCK_STEPS = {"ginar": ginar_block_step, "ingarch": ingarch_block_step, "loglinear": loglinear_block_step}
-_CHAIN_STEPS = {"ingarch": ingarch_chain_step, "loglinear": loglinear_chain_step}
 
 
 def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
@@ -459,10 +445,10 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     returns ``(new_state, counts, intensity)``, all arrays, counts and
     intensity of shape ``(chains, replicates, p)``; every chain of a
     replicate consumes the same noise.  ``intensity`` is the conditional mean
-    of the counts given the window.  A row of independent Poisson counts
-    (linear or log-linear) takes its family's scalar chain step; every other
-    row, GINAR or a copula's, is a block of one, since there the draws cost
-    more than the view.  Either way a row's bits are a block of one's.
+    of the counts given the window.  A linear row of independent Poisson
+    counts, the row simulate-path and criterion 1 run, takes the scalar
+    :func:`ingarch_chain_step`; every other row, GINAR, log-linear or a
+    copula's, is a block of one.  Either way a row's bits are a block of one's.
     """
     matrix, offset = spec.stepping
     row = state.ndim == 1
@@ -473,8 +459,8 @@ def step(spec: ModelSpec, state: np.ndarray, rng: np.random.Generator):
     drift = np.einsum("k,jk->j" if row else "crk,jk->crj", state, matrix) + offset
     if not row:
         return _BLOCK_STEPS[spec.kind](spec, state, drift, rng)
-    if spec.kind in _CHAIN_STEPS and spec.dependence.scheme == "independent":
-        return _CHAIN_STEPS[spec.kind](spec, drift, rng)
+    if spec.kind == "ingarch" and spec.dependence.scheme == "independent":
+        return ingarch_chain_step(spec, drift, rng)
     new, counts, intensity = _BLOCK_STEPS[spec.kind](spec, state[None, None], drift[None, None], rng)
     return new[0, 0], counts[0, 0].tolist(), intensity[0, 0].tolist()
 

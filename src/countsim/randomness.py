@@ -10,11 +10,11 @@ lockstep.  Each block owns one persistent generator addressed by
 ``(master_seed, block)`` (:func:`block_rng`), and the noise two coupled
 chains share is drawn in closed form from both chains' parameters at once:
 
-* :func:`shared_poisson` -- counts of one unit-rate Poisson process at the two
-  chains' intensities: ``Poisson(lo)`` for both plus an independent
-  ``Poisson(hi - lo)`` increment for the chain with the higher intensity;
-* :func:`shared_thinning` -- thinning sums over the shared prefix of one
-  counting sequence, plus independent sums over each chain's extra terms;
+* :func:`shared_poisson` and :func:`shared_thinning` -- counts of one
+  unit-rate Poisson process at the two chains' intensities, and thinning sums
+  over one counting sequence: the part both chains read, at ``min(a_0, a_1)``,
+  and each chain's own excess over it, none for the lower one, drawn in one
+  call (:func:`_split`);
 * :func:`poisson_quantile` -- the Poisson inverse CDF at the copula's normal
   scores, which both chains share (:func:`shared_counts`): one cumulative sum
   over a window of Poisson terms gives the CDF of lower-half entries and the
@@ -129,8 +129,8 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 
 #: Draws of at most this many entries loop the generator's scalar call: today
-#: a GINAR single path's immigration and thinning, and blocks of at most 8
-#: entries (intensity rows draw their own scalar calls).  An array call spends
+#: a GINAR or log-linear single path's draws, and blocks of at most 8 entries
+#: (a linear row draws its own scalar calls).  An array call spends
 #: about 12 us on its argument checks, which a scalar call skips; a Poisson
 #: loop breaks even near 8-12 entries, a broadcast binomial one lower.  With the
 #: limit at 0, in two runs of 8 alternating fresh-process pairs (2 vCPUs,
@@ -192,22 +192,32 @@ def geometric_mean_refused(means: np.ndarray) -> np.ndarray:
     return (1.0 - p) / p * 11.0 > POISSON_LAM_MAX
 
 
+def _split(a: np.ndarray) -> np.ndarray:
+    """The parts one or two chains' amounts ``a`` are drawn in: one chain, or ``(lo, a_0 - lo, a_1 - lo)``.
+
+    ``lo = min(a_0, a_1)`` is what both chains read; each adds its own excess.
+    """
+    if a.shape[0] == 1:
+        return a
+    lo = np.minimum(a[0], a[1])
+    return np.stack((lo, a[0] - lo, a[1] - lo))
+
+
+def _join(sums: np.ndarray) -> np.ndarray:
+    """Each chain's draw from the draws of :func:`_split`'s parts: the common part plus its own excess."""
+    return sums if sums.shape[0] == 1 else sums[0] + sums[1:]
+
+
 def shared_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     """Counts of one unit-rate Poisson process per entry, at each chain's intensity.
 
-    ``lam`` has one or two chains on its first axis.  With two chains both
-    read ``N(lo)`` and the chain with the higher intensity adds the
-    independent increment ``N(hi) - N(lo) ~ Poisson(hi - lo)``, so each chain
-    is Poisson at its own intensity and the counts are monotone in it.
+    ``lam`` has one or two chains on its first axis.  Two chains both read
+    ``N(lo)`` at ``lo = min(lam_0, lam_1)``, and each chain adds its own
+    independent excess ``N(lam_c) - N(lo) ~ Poisson(lam_c - lo)`` (see
+    :func:`_split`), so each chain is Poisson at its own intensity and the
+    counts are monotone in it.  The parts are drawn in one call, in C order.
     """
-    if lam.shape[0] == 1:
-        return _draw(rng.poisson, lam)
-    lo = np.minimum(lam[0], lam[1])
-    base = _draw(rng.poisson, lo)
-    extra = _draw(rng.poisson, np.maximum(lam[0], lam[1]) - lo)
-    first_higher = lam[0] > lam[1]
-    return np.stack((base + np.where(first_higher, extra, 0),
-                     base + np.where(first_higher, 0, extra)))
+    return _join(_draw(rng.poisson, _split(lam)))
 
 
 _TINY = np.finfo(float).tiny
@@ -312,18 +322,15 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
     Coordinate ``i`` of chain ``c`` is ``sum_j sum_l`` of the first
     ``counts[c, r, j, l]`` terms of the counting sequence with mean
     ``means[j, i, l]``; returns ``(chains, replicates, p)``.  Two chains read
-    the same sequence, so the sum over the shorter prefix ``lo`` is drawn
-    once for both and each chain adds an independent sum over its own
-    ``n - lo`` further terms.  Sums of ``n`` terms are drawn in closed form:
+    the same sequence, so they split as :func:`shared_poisson` does: the sum
+    over the shorter prefix ``lo`` is drawn once for both and each chain adds
+    an independent sum over its own ``n - lo`` further terms, none for the
+    shorter one (:func:`_split`).  Sums of ``n`` terms are drawn in closed form:
     ``Bin(n, m)`` (bernoulli), ``Poisson(n m)`` summed over the lags and
     columns (poisson) or a negative binomial, drawn only where ``n > 0``
     (geometric).
     """
-    if counts.shape[0] == 1:
-        parts = counts
-    else:
-        lo = np.minimum(counts[0], counts[1])
-        parts = np.stack((lo, counts[0] - lo, counts[1] - lo))
+    parts = _split(counts)
     if family == "poisson":
         mean = np.einsum("jil,krjl->kri", means, parts)
         check_intensities(mean.max())
@@ -332,15 +339,13 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
         n = parts[:, :, :, None, :]
         if family == "bernoulli":
             draws = _draw(rng.binomial, n, means)
-        elif family == "geometric":
+        else:  # geometric; GinarSpec refuses every other family
             n, prob = np.broadcast_arrays(n, 1.0 / (1.0 + means))
             positive = n > 0
             draws = np.zeros(n.shape, np.int64)
             draws[positive] = _draw(rng.negative_binomial, n[positive], prob[positive])
-        else:
-            raise ConfigurationError(f"unknown counting family {family!r}, expected one of {COUNTING_FAMILIES}")
         sums = draws.sum(axis=(2, 4))
-    return sums if counts.shape[0] == 1 else sums[0] + sums[1:]
+    return _join(sums)
 
 
 def poisson_inverse_cdf(u: float, lam: float) -> int:

@@ -19,10 +19,10 @@ from countsim.config import ConfigError, parse_config, parse_config_file, plain
 from countsim.errors import Problems, checked_array
 from countsim.models import IngarchSpec
 from countsim.randomness import Dependence
+from manifest import load_manifest, moved
 from test_workload_configs import _load_workloads
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-MANIFEST = Path(__file__).resolve().parent / "data" / "determinism.json"
 
 MINIMAL_CHECK = """
 seed: 1
@@ -316,6 +316,18 @@ def test_config_text_the_reader_cannot_read_exits_1_with_a_message(tmp_path, cap
     assert err.startswith("error: invalid configuration") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["!!float abc", "!!int abc", "!!int 0x", "!!bool maybe",
+                                   "!!timestamp 2001-13-45", "!!timestamp abc", "!!float"])
+def test_a_tag_that_cannot_read_its_text_exits_1_at_its_line_and_column(tmp_path, capsys, value):
+    text = (CONFIG_DIR / "ginar_couple.yaml").read_text(encoding="utf-8")
+    line = text.splitlines().index("seed: 501") + 1
+    config = write(tmp_path, text.replace("seed: 501", f"seed: {value}", 1))
+    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    tag, _, body = value.partition(" ")
+    assert f"parse error at line {line}, column 7: {tag} cannot read {body!r}" in err and "Traceback" not in err
+
+
 def test_a_couple_whose_windows_are_past_the_double_range_apart_exits_1(tmp_path, capsys):
     raw = yaml.safe_load((CONFIG_DIR / "ingarch_couple.yaml").read_text(encoding="utf-8"))
     raw["experiment"].update(n=50, replicates=4)
@@ -546,9 +558,7 @@ def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path, monkeyp
     # stream across releases, so the manifest names the version it was made
     # with.  A numpy upgrade, or a change that moves bits on purpose,
     # regenerates it from the digests the failing assertion prints.
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert np.__version__ == manifest["numpy"], \
-        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    manifest = load_manifest()
     for jobs in ("1", "4"):
         if jobs == "4":
             monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)
@@ -563,8 +573,7 @@ def test_shipped_config_outputs_match_the_determinism_manifest(tmp_path, monkeyp
             assert elapsed < 60.0, f"{path.name} took {elapsed:.1f}s at --jobs {jobs}"
             for item in sorted(out.iterdir()):
                 digests[f"{path.stem}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
-        assert digests == manifest["digests"], \
-            f"outputs moved at --jobs {jobs}; their digests are\n" + json.dumps(digests, indent=2)
+        assert digests == manifest["digests"], moved(digests, manifest["digests"], f"outputs moved at --jobs {jobs}")
 
 
 def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch):
@@ -574,9 +583,7 @@ def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch)
     # counting.  The same digests hold at --jobs 1 and at --jobs 2 with
     # workers forced, since outputs do not depend on where blocks run.  Regenerated like the shipped configs'
     # digests, at the manifest's jobs.
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert np.__version__ == manifest["numpy"], \
-        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    manifest = load_manifest()
     pinned = manifest["benchmark"]
     for jobs in ("1", "2"):
         if jobs == "2":
@@ -592,8 +599,7 @@ def test_benchmark_outputs_match_the_determinism_manifest(tmp_path, monkeypatch)
                     assert cli.main([command, "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
                     for item in sorted(out.iterdir()):
                         digests[f"{name}/{item.name}"] = hashlib.sha256(item.read_bytes()).hexdigest()
-        assert digests == pinned["digests"], \
-            f"outputs moved at --jobs {jobs}; their digests are\n" + json.dumps(digests, indent=2)
+        assert digests == pinned["digests"], moved(digests, pinned["digests"], f"outputs moved at --jobs {jobs}")
 
 
 def _child(args, **env):

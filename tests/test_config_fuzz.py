@@ -37,14 +37,25 @@ class _Dumper(yaml.SafeDumper):
 _Dumper.add_representer(_Plain, lambda dumper, text: dumper.represent_scalar(
     dumper.resolve(yaml.ScalarNode, text, (True, False)), text))
 
+class _Tagged(tuple):
+    """``(tag, text)``, written as ``!!tag 'text'``: an explicit tag that may refuse its text."""
+
+
+# A quoted scalar keeps its explicit tag even where the dumper would resolve the text to that tag.
+_Dumper.add_representer(_Tagged, lambda dumper, tagged: dumper.represent_scalar(
+    f"tag:yaml.org,2002:{tagged[0]}", tagged[1], style="'"))
+
 # First comes a list nested 40 deep, past the 32 dimensions numpy iterates:
 # hypothesis draws the first entries most often, and this one breaks numpy only
 # where it replaces the entry of a one-entry vector.  The plain spellings are
 # numbers and booleans in YAML 1.1 or 1.2, most of them in only one of the two.
+# The tagged ones end in a tag's constructor, most of them refusing the text.
 HOSTILE = [functools.reduce(lambda inner, _: [inner], range(40), 1.0),
            True, False, "1", "abc", math.nan, math.inf, -math.inf, -1, 2**63, 2**70, 10**400, 1e19,
            sys.float_info.max, [], {}, [[1, 2], [3]], [[[1.0]]], {"a": 1},
-           *map(_Plain, ["0755", "1:30", "1_000", "yes", "on", "no", "off", "0o17", "0x1F", ".NaN", "-.Inf"])]
+           *map(_Plain, ["0755", "1:30", "1_000", "yes", "on", "no", "off", "0o17", "0x1F", ".NaN", "-.Inf"]),
+           *map(_Tagged, [("float", "abc"), ("int", "abc"), ("int", "0x"), ("bool", "maybe"), ("float", ""),
+                          ("timestamp", "2001-13-45"), ("timestamp", "abc"), ("binary", "abc"), ("null", "x")])]
 
 
 def _shrunk(path: Path) -> dict:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +25,7 @@ from countsim.models import (
     validate_window,
 )
 from countsim.randomness import SCALAR_DRAW_LIMIT, block_rng
-
-MANIFEST = Path(__file__).resolve().parent / "data" / "determinism.json"
+from manifest import load_manifest, moved
 
 
 def iid_poisson1():
@@ -315,13 +313,10 @@ def test_library_runs_match_the_determinism_manifest():
     # The SHA-256 of each run's record in JSON types; made at the commit
     # before copula rows ran through the block step, so a row, a copula score
     # draw or an immigration draw that moves a bit fails here.
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert np.__version__ == manifest["numpy"], \
-        f"the manifest was made with numpy {manifest['numpy']}, this is numpy {np.__version__}"
+    manifest = load_manifest()
     digests = {name: hashlib.sha256(json.dumps(plain(run()), sort_keys=True).encode()).hexdigest()
                for name, run in _pinned_library_runs(manifest["seed"]).items()}
-    assert digests == manifest["library"]["digests"], \
-        "outputs moved; their digests are\n" + json.dumps(digests, indent=2)
+    assert digests == manifest["library"]["digests"], moved(digests, manifest["library"]["digests"], "outputs moved")
 
 
 def test_csv_export_layout(tmp_path):

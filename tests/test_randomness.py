@@ -319,6 +319,20 @@ def test_shared_poisson_counts_one_process_at_both_intensities():
     assert abs(cross.mean() - (2.0 * 5.0 + 2.0)) < 4 * cross.std() / math.sqrt(len(cross))
 
 
+@pytest.mark.parametrize("shape", [(1, 8, 3), (2, 64, 2), (2, 1, 3), (2, 3, 1)], ids=lambda s: "x".join(map(str, s)))
+def test_shared_poisson_splits_two_chains_as_shared_thinning_does(shape):
+    # One split for both coupled draws: Poisson counts at integer intensities
+    # n are Poisson thinning sums of n terms through the identity, bit for bit.
+    # Chain 1 holds chain 0's entries reversed, so the chains cross.
+    first = np.arange(math.prod(shape[1:])) * 7 % 23
+    n = np.stack((first, first[::-1]))[:shape[0]].reshape(shape)
+    assert shape[0] == 1 or ((n[0] > n[1]).any() and (n[0] < n[1]).any())
+    for seed in (0, 26):
+        counts = shared_poisson(block_rng(seed, 0), n.astype(float))
+        sums = shared_thinning(block_rng(seed, 0), "poisson", np.eye(shape[2])[None], n[:, :, None, :])
+        assert counts.dtype == sums.dtype == np.int64 and np.array_equal(counts, sums)
+
+
 @pytest.mark.parametrize("family,mean,law", [
     ("bernoulli", 0.3, lambda n: scipy.stats.binom(n, 0.3)),
     ("poisson", 1.3, lambda n: scipy.stats.poisson(1.3 * n)),
