@@ -204,6 +204,9 @@ def simulate(spec: ModelSpec, T: int, burn_in: int = DEFAULT_BURN_IN,
     One chain's companion row runs through :func:`_lockstep`, with the same
     arithmetic and draws as a block of one, on the generator addressed by
     ``(master_seed, replicate_id)``; the path is bit-reproducible from them.
+    A small linear row of independent counts leaves its first step as a list
+    of Python numbers and stays one (:func:`~countsim.models.ingarch_chain_step`),
+    so no later step converts between arrays and lists.
     Raises :class:`DivergenceError`, tagged with the absolute step index, if
     the trajectory leaves the representable range.
     """

@@ -15,6 +15,7 @@ from countsim.engine import (
 )
 from countsim.errors import ConfigError, DivergenceError
 from countsim.models import (
+    FLOAT_ROW_LIMIT,
     GinarSpec,
     ImmigrationSpec,
     IngarchSpec,
@@ -231,6 +232,10 @@ def _ginar_spec(p: int, q: int, counting: str, immigration: str):
 
 
 _WIDE = SCALAR_DRAW_LIMIT + 1  # past the scalar draws: the block step makes array calls
+# Linear rows around FLOAT_ROW_LIMIT (products 2 p**2 q): a first fold of eight
+# (k = 8), the largest p = 1 row admitted and the first past it, and p = 3, 7
+# and 8 at q = 1 (18, 98 and 128 products).
+_FLOAT_ROW_EDGES = ((1, 4), (1, FLOAT_ROW_LIMIT // 2), (1, FLOAT_ROW_LIMIT // 2 + 1), (3, 1), (7, 1), (8, 1))
 _SINGLE_PATH_CASES = [
     pytest.param(lambda c=c, i=i: _ginar_spec(2, 1, c, i), id=f"ginar-{c}-{i}")
     for c in ("bernoulli", "poisson", "geometric") for i in ("poisson", "geometric", "constant")
@@ -244,6 +249,9 @@ _SINGLE_PATH_CASES = [
     pytest.param(lambda k=k, p=p, q=q, s=s: _intensity_spec(k, p, q, s), id=f"{k}-{s}-p{p}-q{q}")
     for k in ("ingarch", "loglinear") for s in ("independent", "comonotone", "gaussian")
     for p, q in ((2, 1), (2, 2), (_WIDE, 1))
+] + [
+    pytest.param(lambda p=p, q=q: _intensity_spec("ingarch", p, q, "independent"), id=f"ingarch-independent-p{p}-q{q}")
+    for p, q in _FLOAT_ROW_EDGES
 ]
 
 

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -6,12 +8,15 @@ import pytest
 from countsim.engine import couple, simulate
 from countsim.errors import ConfigError, ConfigurationError, DivergenceError
 from countsim.linalg import companion, spectral_radius
+from countsim import models
 from countsim.models import (
+    FLOAT_ROW_LIMIT,
     GinarSpec,
     ImmigrationSpec,
     IngarchSpec,
     LogLinearSpec,
     MU_LIMIT,
+    _lambdas,
     block_state,
     default_window,
     ingarch_intensity,
@@ -404,6 +409,144 @@ def test_step_rejects_mismatched_state():
     for state in (np.array(1.0), start(ispec)[0]):  # rank 0 and rank 2: neither a row nor a block
         with pytest.raises(ConfigurationError):
             step(ispec, state, block_rng(1, 0))
+
+
+@pytest.mark.parametrize("spec, row", [
+    pytest.param(ginar_2d(), np.array([1.5, 2.0]), id="ginar-float-row"),
+    pytest.param(ginar_2d(), np.array([1]), id="ginar-short-row"),
+    pytest.param(LogLinearSpec(2, 1, [0.0, 0.0], ([[0.1, 0.0], [0.0, 0.1]],), ([[0.1, 0.0], [0.0, 0.1]],)),
+                 np.zeros(3), id="loglinear-short-row"),
+    pytest.param(ingarch_1d(), np.array([1, 0]), id="ingarch-int64-row"),
+    pytest.param(ingarch_1d(), [1.0], id="ingarch-short-list"),
+    pytest.param(ingarch_1d(), [1.0, 0, 0], id="ingarch-long-list"),
+    pytest.param(ginar_2d(), [1, 2], id="ginar-list"),
+    pytest.param(IngarchSpec(1, 1, [1.0], ([[0.3]],), ([[0.5]],), {"scheme": "comonotone"}), [1.0, 0],
+                 id="copula-list"),
+])
+def test_a_row_that_does_not_match_the_model_is_refused(spec, row):
+    # A row is checked by the block's rule: k entries, an integer dtype exactly
+    # for GINAR.  A list, the float step's own row, is checked for its length,
+    # and only a row with a float_lead takes one.
+    with pytest.raises(ConfigurationError, match=f"row state does not match a {spec.kind} model"):
+        step(spec, row, block_rng(1, 0))
+
+
+def _lead_case(k: int, gen: np.random.Generator) -> tuple[list, np.ndarray, np.ndarray]:
+    """A row of ``k`` entries, floats of mixed magnitude and ints past 2**53, and 3 lead rows with zeros."""
+    x = (gen.uniform(0, 1, k) * 10.0 ** gen.integers(-3, 8, k)).tolist()
+    for i in np.flatnonzero(gen.uniform(size=k) < 0.3):
+        x[i] = int(gen.integers(2**53, 2**62)) | 1  # odd past 2**53: the float rounds it
+    c = gen.uniform(0, 1, (3, k)) * 10.0 ** gen.integers(-6, 2, (3, k))
+    c[gen.uniform(size=c.shape) < 0.25] = 0.0
+    return x, c, gen.uniform(0, 10, 3) * (gen.uniform(size=3) < 0.7)
+
+
+@pytest.mark.parametrize("k", range(1, FLOAT_ROW_LIMIT + 1))
+def test_the_float_lambdas_add_as_einsum_does(k):
+    # Bit for bit at every row length the float regime admits, so whole groups
+    # of eight (k = 8, 16, 24, ...) and the products left over; ints enter as
+    # numpy's float64 cast rounds them.
+    gen = np.random.default_rng(k)
+    for _ in range(200):
+        x, c, d = _lead_case(k, gen)
+        floats = np.array([v if isinstance(v, float) else float(np.int64(v)) for v in x])
+        assert _lambdas(x, list(zip(c.tolist(), d.tolist()))) == (np.einsum("k,jk->j", floats, c) + d).tolist()
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 4), (2, 3), (3, 2), (4, 1), (1, 50), (2, 12), (5, 2), (7, 1)])
+def test_the_float_row_steps_as_a_block_of_one_does(p, q):
+    # The same step from the same row with counts past 2**53, as a list in the
+    # float regime and as a block of one: lambda, counts and the new row agree
+    # bit for bit, up to the largest rows the float regime admits.
+    gen = np.random.default_rng(p * 100 + q)
+    lags = [(gen.uniform(0, 1e-4, (p, p))).tolist() for _ in range(2 * q)]
+    row = gen.uniform(0, 1e12, 2 * p * q).tolist()
+    row[p * q:] = [int(v) for v in gen.integers(2**53, 2**60, p * q)]
+    floats = np.array(row[:p * q] + [float(np.int64(v)) for v in row[p * q:]])
+    spec = IngarchSpec(p, q, [1.0] * p, lags[:q], lags[q:])
+    assert spec.float_lead is not None
+    new_list, counts, lam = step(spec, row, block_rng(3, 0))
+    new_block, counts_block, lam_block = step(spec, floats[None, None], block_rng(3, 0))
+    assert isinstance(new_list, list)
+    assert lam == lam_block[0, 0].tolist() and counts == counts_block[0, 0].tolist()
+    assert [float(v) for v in new_list] == new_block[0, 0].tolist()
+
+
+@pytest.mark.parametrize("p, q", [(1, FLOAT_ROW_LIMIT // 2 + 1), (8, 1)])
+def test_a_row_past_the_float_limit_runs_as_a_block_of_one(p, q):
+    spec = IngarchSpec(p, q, [1.0] * p, [np.eye(p) * 0.1 / q] * q, [np.eye(p) * 0.1 / q] * q)
+    assert spec.float_lead is None
+    new, counts, lam = step(spec, validate_window(spec, default_window(spec)), block_rng(3, 0))
+    assert isinstance(new, np.ndarray) and len(counts) == len(lam) == p
+    with pytest.raises(ConfigurationError, match="row state does not match"):
+        step(spec, new.tolist(), block_rng(3, 0))
+
+
+def test_this_builds_einsum_adds_as_the_float_lambdas():
+    assert all(models._einsum_adds_as_lambdas(n) for n in range(1, FLOAT_ROW_LIMIT + 1))
+
+
+def _fused(x: float, c: float, acc: float) -> float:
+    """``x * c + acc`` rounded once, as a fused multiply-add rounds it."""
+    return acc if c == 0.0 else float(Fraction(x) * Fraction(c) + Fraction(acc))
+
+
+def _in_lanes(width: int, reduce, fma=False):
+    """A sum of products in ``width`` lanes, entry i into lane i % width in order, then ``reduce(lanes)``."""
+    def total(x, c):
+        lanes = [0.0] * width
+        for i, (v, w) in enumerate(zip(x, c)):
+            lanes[i % width] = _fused(v, w, lanes[i % width]) if fma else lanes[i % width] + v * w
+        return reduce(lanes)
+    return total
+
+
+def _pairs(v):
+    while len(v) > 1:
+        v = [v[i] + v[i + 1] for i in range(0, len(v), 2)]
+    return v[0]
+
+
+def _halves(v):
+    while len(v) > 1:
+        v = [a + b for a, b in zip(v[:len(v) // 2], v[len(v) // 2:])]
+    return v[0]
+
+
+def _fused_lambdas(x, c):
+    """:func:`_lambdas`'s order with every product fused into its add."""
+    n, a, b = len(x), 0.0, 0.0
+    for i in range(0, n - n % 8, 8):
+        for j in (6, 4, 2, 0):
+            a, b = _fused(x[i + j], c[i + j], a), _fused(x[i + j + 1], c[i + j + 1], b)
+    for i in range(n - n % 8, n - 1, 2):
+        a, b = _fused(x[i], c[i], a), _fused(x[i + 1], c[i + 1], b)
+    return _fused(x[-1], c[-1], a) + b if n % 2 else a + b
+
+
+@pytest.mark.parametrize("order, first", [
+    pytest.param(_in_lanes(1, _pairs), 3, id="in-order"),
+    pytest.param(_in_lanes(1, _pairs, fma=True), 2, id="in-order-fused"),
+    pytest.param(_in_lanes(2, _pairs), 8, id="two-lanes-forward"),
+    pytest.param(_fused_lambdas, 3, id="two-lanes-fused"),
+    pytest.param(_in_lanes(4, _pairs), 3, id="four-lanes-pairs"),
+    pytest.param(_in_lanes(4, _halves), 5, id="four-lanes-halves"),
+    pytest.param(_in_lanes(8, _pairs), 3, id="eight-lanes-pairs"),
+])
+def test_the_einsum_probe_refuses_another_order(monkeypatch, order, first):
+    # An einsum that adds in another order, or fuses its multiplies, fails the
+    # probe at every row length from the first at which its sums can differ
+    # from _lambdas' up to the limit, so such a build runs every row as a block
+    # of one.  Below that length the two are the same sums and both pass.
+    def einsum(subscripts, x, matrix):
+        xs, rows = np.ravel(x).tolist(), matrix.tolist()
+        return np.array([order(xs, c) for c in rows]).reshape(np.shape(x)[:-1] + (len(rows),))
+
+    probe = cache(models._einsum_adds_as_lambdas.__wrapped__)
+    monkeypatch.setattr(models, "_einsum_adds_as_lambdas", probe)
+    monkeypatch.setattr(models.np, "einsum", einsum)
+    assert [probe(n) for n in range(1, FLOAT_ROW_LIMIT + 1)] == [n < first for n in range(1, FLOAT_ROW_LIMIT + 1)]
+    assert IngarchSpec(1, 4, [1.0], [[[0.1]]] * 4, [[[0.1]]] * 4).float_lead is None  # k = 8
 
 
 _IDENTITY_2D = ([[1.0, 0.0], [0.0, 1.0]],)
