@@ -113,14 +113,14 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     config, so reruns of one experiment stay byte-identical wherever they
     are written.
     """
-    report = analysis.check_model(config.model)
+    exp = config.experiment
+    report = analysis.check_model(config.model) if strict or exp.kind == "check" else None
     if strict and not report.holds("stationarity"):
         print(report.format_table())
         print("strict mode: stationarity condition fails", file=sys.stderr)
         return 2
 
     out_dir = config.output.directory if out_dir is None else out_dir
-    exp = config.experiment
     if exp.kind == "check":
         results, summary, extra_files = plain(report), report.format_table(), []
     else:

@@ -13,10 +13,10 @@ Specs are immutable and shareable, and compare by identity, as every record
 that holds arrays or mappings does.  :func:`step` advances a state of
 companion rows (see :func:`validate_window`): one chain's 1-D row, or a
 block of replicates, each with one or two coupled chains, in lockstep as one
-``(chains, replicates, k)`` array, with the same arithmetic and draws.  Only
-a linear row of independent Poisson counts has a step of its own, one scalar
-call per count in Python floats, up to a size; every other row, log-linear
-ones too, runs as a block of one.  The log-linear row holds mu and
+``(chains, replicates, k)`` array, with the same arithmetic and draws.  A
+linear row of independent Poisson counts, up to a size, and a block of one
+of it step in Python floats, one scalar call per count; every other row,
+log-linear ones too, runs as a block of one.  The log-linear row holds mu and
 ``log(1 + y)``, the coordinates in which that model contracts, so coupling
 distances are measured where contraction actually happens.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, cached_property
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -65,7 +65,7 @@ COUNT_LIMIT = 2**62
 #: matrix hold at most this many products (``2 p**2 q``) steps in Python
 #: floats (:func:`ingarch_chain_step`): p = 1 up to q = 50, p = 2 up to q = 12,
 #: p = 3 up to q = 5, p = 4 up to q = 3, p = 5 up to q = 2 and p = 7 at q = 1.
-#: A larger row runs as a block of one.  Same process, min of 5 rounds of
+#: A larger row runs the einsum block path.  Same process, min of 5 rounds of
 #: 10,000 steps in each of two runs, block of one -> floats, in us/step
 #: (2 vCPUs, Python 3.11, numpy 2.4): p1q1 8.8 -> 2.1, p2q1 9.5 -> 3.2,
 #: p4q1 10.7 -> 5.5, p1q50 11.3-11.8 -> 7.7-8.0, p5q2 10.9-11.0 -> 9.9-10.0,
@@ -288,13 +288,11 @@ class IngarchSpec:
     def float_lead(self) -> list | None:
         """The stepping map's ``p`` lead rows as ``(coefficients, offset)`` in Python floats, for :func:`ingarch_chain_step`.
 
-        None where that step does not apply and the row runs as a block of one:
-        a copula's counts, more than :data:`FLOAT_ROW_LIMIT` products, or an
-        einsum that does not add as :func:`_lambdas` does (:func:`_einsum_adds_as_lambdas`).
+        None where that step does not apply and the row runs the einsum block
+        path: a copula's counts, or more than :data:`FLOAT_ROW_LIMIT` products.
         """
         matrix, offset = self.stepping
-        if self.dependence.scheme != "independent" or self.p * len(offset) > FLOAT_ROW_LIMIT \
-                or not _einsum_adds_as_lambdas(len(offset)):
+        if self.dependence.scheme != "independent" or self.p * len(offset) > FLOAT_ROW_LIMIT:
             return None
         return list(zip(matrix[:self.p].tolist(), offset[:self.p].tolist()))
 
@@ -445,78 +443,39 @@ def loglinear_block_step(spec: LogLinearSpec, state: np.ndarray, drift: np.ndarr
 
 
 def _lambdas(x: list, lead: list) -> list:
-    """``sum_k x[k] * c[k] + d`` for each lead row ``(c, d)``, added as ``np.einsum("k,jk->j")`` and ``+ offset`` add.
+    """``sum_k x[k] * c[k] + d`` for each lead row ``(c, d)``, added in index order from 0.0.
 
-    einsum adds a contiguous float64 row in two interleaved lanes, both from
-    0.0: one for the even-indexed products, one for the odd.  Each whole group
-    of eight products folds into each lane last first,
-    ``v = p[i] + (p[i+2] + (p[i+4] + (p[i+6] + v)))``; the products left over
-    go in order, two at a time, one per lane; the sum is lane 0 + lane 1, so
-    four products add as ``(p0 + p2) + (p1 + p3)``.  That is numpy 2.4's loop
-    of two-double vectors on its X86_V2 baseline, measured, not documented.
-    The additions are written out: builtin ``sum`` compensates from Python
-    3.12.  An int entry of ``x`` rounds to a float as numpy's float64 cast
-    rounds it.
+    The additions are written out, eight and then two to a line: builtin
+    ``sum`` compensates from Python 3.12.  An int entry of ``x`` rounds to a
+    float as numpy's float64 cast rounds it.
     """
     n = len(x)
     lam = []
     for c, d in lead:
-        a = b = 0.0
+        s = 0.0
         i = 0
         while i + 8 <= n:
-            a = x[i] * c[i] + (x[i + 2] * c[i + 2] + (x[i + 4] * c[i + 4] + (x[i + 6] * c[i + 6] + a)))
-            b = x[i + 1] * c[i + 1] + (x[i + 3] * c[i + 3] + (x[i + 5] * c[i + 5] + (x[i + 7] * c[i + 7] + b)))
+            s = s + x[i] * c[i] + x[i + 1] * c[i + 1] + x[i + 2] * c[i + 2] + x[i + 3] * c[i + 3] \
+                + x[i + 4] * c[i + 4] + x[i + 5] * c[i + 5] + x[i + 6] * c[i + 6] + x[i + 7] * c[i + 7]
             i += 8
         while i + 2 <= n:
-            a = a + x[i] * c[i]
-            b = b + x[i + 1] * c[i + 1]
+            s = s + x[i] * c[i] + x[i + 1] * c[i + 1]
             i += 2
         if i < n:
-            a = a + x[i] * c[i]
-        lam.append(a + b + d)
+            s = s + x[i] * c[i]
+        lam.append(s + d)
     return lam
-
-
-@cache
-def _einsum_adds_as_lambdas(n: int) -> bool:
-    """Whether ``step``'s einsums add rows of ``n`` products as :func:`_lambdas` does on this build; probed once per ``n``.
-
-    The probe's products are exact except where said.  Most rows hold three
-    nonzero products, ``B``, ``-B`` and about 1 (``B = 2**54``): the small one
-    survives only if ``B`` and ``-B`` meet before either meets it, so each row
-    reads which pair an order adds first.  The rows take every run of three
-    entries at stride 1 and 2, in all three roles.  The rest hold ``P`` and
-    ``-P`` at entries 0 and ``j``, ``P`` a product that rounds: they read 0
-    unless a build fuses the multiply into the add.
-    """
-    unit, big = 1.0 + 2.0**-30, 2.0**54
-    rows = []
-    for s in (1, 2):
-        for window in ((i, i + s, i + 2 * s) for i in range(n - 2 * s)):
-            for small in window:
-                c = [0.0] * n
-                c[small], (a, b) = 1.0, (e for e in window if e != small)
-                c[a], c[b] = big, -big
-                rows.append(c)
-    for j in (1, 2, 4, 8, 16):
-        if j < n:
-            c = [0.0] * n
-            c[0], c[j] = unit, -unit
-            rows.append(c)
-    x, matrix = [unit] * n, np.array(rows).reshape(len(rows), n)
-    lam = _lambdas(x, [(c, 0.0) for c in rows])
-    return all(lam == (np.einsum(subscripts, np.array(x).reshape(shape), matrix) + 0.0).ravel().tolist()
-               for subscripts, shape in (("k,jk->j", n), ("crk,jk->crj", (1, 1, n))))
 
 
 def ingarch_chain_step(spec: IngarchSpec, row, rng: np.random.Generator):
     """One linear transition of one chain's row of independent counts, in Python floats; returns ``(row, counts, lambda)``.
 
     For a spec with a :attr:`~IngarchSpec.float_lead`.  Each lambda adds its
-    lead row's products in einsum's order (:func:`_lambdas`), and one scalar
-    Poisson call per entry, in order, draws what ``_draw`` draws, so the bits
-    are a block of one's.  The new row is a list built by slicing, its counts
-    Python ints; an array row is read as a list.
+    lead row's products in index order (:func:`_lambdas`), and one scalar
+    Poisson call per entry, in order, draws what ``_draw`` draws.  The new row
+    is a list built by slicing, its counts Python ints; an array row is read
+    as a list.  :func:`step` runs a block of one of such a model here too, so
+    a row has a block of one's bits by construction.
     """
     p, q = spec.p, spec.q
     if not isinstance(row, list):
@@ -534,21 +493,20 @@ _BLOCK_STEPS = {"ginar": ginar_block_step, "ingarch": ingarch_block_step, "logli
 def step(spec: ModelSpec, state: np.ndarray | list, rng: np.random.Generator):
     """One transition of the model's random map; the state's rank picks the regime.
 
-    A 1-D state is one chain's companion row from :func:`validate_window`.
-    It returns ``(new_row, counts, intensity)``, the counts and intensity
-    lists of ``p`` Python numbers.  A 3-D state is a :func:`block_state`.  It
-    returns ``(new_state, counts, intensity)``, all arrays, counts and
-    intensity of shape ``(chains, replicates, p)``; every chain of a
-    replicate consumes the same noise.  ``intensity`` is the conditional mean
-    of the counts given the window.  Either state is checked against the
-    model: ``k`` entries, an integer dtype exactly for GINAR; a state of any
-    other rank fails.  A linear row of independent Poisson counts with a
-    :attr:`~IngarchSpec.float_lead`, the row simulate-path and criterion 1
-    run, takes :func:`ingarch_chain_step`, which hands it back as a list;
-    such a list is checked for its length only, and no other row takes one.
-    Every other row, GINAR, log-linear, a copula's or a linear row past
-    :data:`FLOAT_ROW_LIMIT`, is a block of one.  Either way a row's bits are a
-    block of one's.
+    A 1-D state is one chain's companion row from :func:`validate_window`;
+    it returns ``(new_row, counts, intensity)``, counts and intensity as
+    lists of ``p`` Python numbers.  A 3-D state is a :func:`block_state`; it
+    returns ``(new_state, counts, intensity)`` as arrays, counts and intensity
+    of shape ``(chains, replicates, p)``, and every chain of a replicate
+    consumes the same noise.  ``intensity`` is the conditional mean of the
+    counts given the window.  Either state is checked against the model:
+    ``k`` entries, an integer dtype exactly for GINAR; a state of any other
+    rank fails.  A linear model with a :attr:`~IngarchSpec.float_lead`, the
+    row simulate-path and criterion 1 run, steps a row and a ``(1, 1, k)``
+    block in :func:`ingarch_chain_step`; the row comes back as a list, which
+    only such a model takes and which is checked for its length only.  Every
+    other row runs the block path as a block of one, so a row's bits are
+    always a block of one's.
     """
     matrix, offset = spec.stepping
     lead = spec.float_lead if spec.kind == "ingarch" else None
@@ -562,13 +520,12 @@ def step(spec: ModelSpec, state: np.ndarray | list, rng: np.random.Generator):
         raise ConfigurationError(f"{'row' if row else 'block'} state does not match a {spec.kind} model")
     if row and lead is not None:
         return ingarch_chain_step(spec, state, rng)
-    # einsum adds each entry's products in two lanes (see _lambdas), so the float
-    # row and the block agree; BLAS matmul sums them another way.
-    drift = np.einsum("k,jk->j" if row else "crk,jk->crj", state, matrix) + offset
-    if not row:
-        return _BLOCK_STEPS[spec.kind](spec, state, drift, rng)
-    new, counts, intensity = _BLOCK_STEPS[spec.kind](spec, state[None, None], drift[None, None], rng)
-    return new[0, 0], counts[0, 0].tolist(), intensity[0, 0].tolist()
+    if lead is not None and state.shape[:2] == (1, 1):
+        return tuple(np.array(v)[None, None] for v in ingarch_chain_step(spec, state[0, 0], rng))
+    block = state[None, None] if row else state
+    drift = np.einsum("crk,jk->crj", block, matrix) + offset  # not matmul: BLAS adds another way
+    new, counts, intensity = _BLOCK_STEPS[spec.kind](spec, block, drift, rng)
+    return (new[0, 0], counts[0, 0].tolist(), intensity[0, 0].tolist()) if row else (new, counts, intensity)
 
 
 def window_distance(state: np.ndarray) -> np.ndarray:

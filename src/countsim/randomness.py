@@ -5,12 +5,10 @@ folded into a 64-bit PCG64 seed with a fixed SplitMix64-based mixer, so any
 stream can be reconstructed independently of construction order and the same
 lineage yields the same draws on every run with the same numpy.  Bit-identical
 paths are promised no further than that: the determinism manifest pins
-numpy's version, and the maps' sums follow the order in which the build's
-``np.einsum`` adds.  A linear row in Python floats adds in that order itself
-(``models._lambdas``, two-double vectors as on numpy 2.4's X86_V2
-baseline), and only where a probe finds that the build's einsum agrees
-(``models._einsum_adds_as_lambdas``); elsewhere it steps as a block of one,
-so on any build a path has a block of one's bits.
+numpy's version, and a block's sums follow the order in which the build's
+``np.einsum`` adds.  A small linear row, and a block of one of it, add in
+index order in Python floats (``models._lambdas``) instead, so on any build
+a path has a block of one's bits.
 
 The engine advances a block of replicates, and for coupling both chains, in
 lockstep.  Each block owns one persistent generator addressed by

@@ -702,6 +702,22 @@ def test_strict_blocks_other_experiments_too(tmp_path):
     assert code == 0
 
 
+def test_the_condition_report_is_computed_only_where_it_is_read(tmp_path, monkeypatch):
+    # check writes it and --strict reads its stationarity verdict; a plain run reads neither.
+    check_model, calls = cli.analysis.check_model, []
+    monkeypatch.setattr(cli.analysis, "check_model", lambda spec: calls.append(spec) or check_model(spec))
+    check = write(tmp_path, MINIMAL_CHECK, "check.yaml")
+    raw = yaml.safe_load(MINIMAL_CHECK)
+    raw["experiment"] = {"kind": "simulate", "T": 20, "burn_in": 5}
+    run = write(tmp_path, yaml.safe_dump(raw), "run.yaml")
+    out = ["--out", str(tmp_path / "out")]
+    counts = []
+    for command, config, *flags in (("simulate", run), ("simulate", run, "--strict"), ("check", check)):
+        assert cli.main([command, "--config", config, *flags, *out]) == 0
+        counts.append(len(calls))
+    assert counts == [0, 1, 2]
+
+
 WRAPPING_COUPLE = """
 seed: 1
 model:

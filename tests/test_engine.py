@@ -285,8 +285,9 @@ def test_simulate_diverges_at_the_block_step_index(spec, seed):
 def _pinned_library_runs(seed: int) -> dict:
     """Small in-process runs on the paths neither CLI manifest reaches, by name.
 
-    Copula rows (comonotone and Gaussian), a log-linear row, comonotone blocks
-    and geometric immigration in a row and in blocks of 64 and 3 replicates.
+    Copula rows (comonotone and Gaussian), a log-linear row, comonotone blocks,
+    geometric immigration in a row and in blocks of 64 and 3 replicates, and a
+    linear block of one replicate, which steps in Python floats.
     Geometric counting is left out: its draws skip zero counts, which moved
     its bits after these digests were made.
     """
@@ -314,6 +315,8 @@ def _pinned_library_runs(seed: int) -> dict:
             lambda: couple_ensemble(ginar, 30, default_window(ginar), {"counts": [[9, 0]]}, seed, 67),
         "monte_carlo_moments/loglinear-comonotone":
             lambda: monte_carlo_moments(loglinear(comonotone), [1, 2], [0.1], 100, 10, 67, seed),
+        "monte_carlo_moments/ingarch-independent-one-replicate":
+            lambda: monte_carlo_moments(ingarch({}), [1, 2], [0.1], 100, 10, 1, seed),
     }
 
 

@@ -1,6 +1,4 @@
 import math
-from fractions import Fraction
-from functools import cache
 
 import numpy as np
 import pytest
@@ -443,14 +441,22 @@ def _lead_case(k: int, gen: np.random.Generator) -> tuple[list, np.ndarray, np.n
 
 @pytest.mark.parametrize("k", range(1, FLOAT_ROW_LIMIT + 1))
 def test_the_float_lambdas_add_as_einsum_does(k):
-    # Bit for bit at every row length the float regime admits, so whole groups
-    # of eight (k = 8, 16, 24, ...) and the products left over; ints enter as
-    # numpy's float64 cast rounds them.
+    # Bit for bit against einsum's products added by a plain loop in index
+    # order, at every row length the float step admits, so whole groups of
+    # eight, pairs and the product left over; ints enter as numpy's float64
+    # cast rounds them.  Einsum only multiplies here, so its own order of
+    # addition on this build does not enter.
     gen = np.random.default_rng(k)
     for _ in range(200):
         x, c, d = _lead_case(k, gen)
         floats = np.array([v if isinstance(v, float) else float(np.int64(v)) for v in x])
-        assert _lambdas(x, list(zip(c.tolist(), d.tolist()))) == (np.einsum("k,jk->j", floats, c) + d).tolist()
+        expected = []
+        for row, offset in zip(np.einsum("k,jk->jk", floats, c).tolist(), d.tolist()):
+            total = 0.0
+            for term in row:
+                total = total + term
+            expected.append(total + offset)
+        assert _lambdas(x, list(zip(c.tolist(), d.tolist()))) == expected
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 4), (2, 3), (3, 2), (4, 1), (1, 50), (2, 12), (5, 2), (7, 1)])
@@ -482,71 +488,30 @@ def test_a_row_past_the_float_limit_runs_as_a_block_of_one(p, q):
         step(spec, new.tolist(), block_rng(3, 0))
 
 
-def test_this_builds_einsum_adds_as_the_float_lambdas():
-    assert all(models._einsum_adds_as_lambdas(n) for n in range(1, FLOAT_ROW_LIMIT + 1))
+def test_a_block_of_one_of_a_float_row_model_steps_in_floats(monkeypatch):
+    # A (1, 1, k) block takes the float step and comes back as arrays in the
+    # block's dtypes, equal to the list row's step; a block of two replicates
+    # or of two chains still runs the einsum block path.
+    chain_step, calls = models.ingarch_chain_step, []
 
+    def counted(*args):
+        calls.append(args)
+        return chain_step(*args)
 
-def _fused(x: float, c: float, acc: float) -> float:
-    """``x * c + acc`` rounded once, as a fused multiply-add rounds it."""
-    return acc if c == 0.0 else float(Fraction(x) * Fraction(c) + Fraction(acc))
-
-
-def _in_lanes(width: int, reduce, fma=False):
-    """A sum of products in ``width`` lanes, entry i into lane i % width in order, then ``reduce(lanes)``."""
-    def total(x, c):
-        lanes = [0.0] * width
-        for i, (v, w) in enumerate(zip(x, c)):
-            lanes[i % width] = _fused(v, w, lanes[i % width]) if fma else lanes[i % width] + v * w
-        return reduce(lanes)
-    return total
-
-
-def _pairs(v):
-    while len(v) > 1:
-        v = [v[i] + v[i + 1] for i in range(0, len(v), 2)]
-    return v[0]
-
-
-def _halves(v):
-    while len(v) > 1:
-        v = [a + b for a, b in zip(v[:len(v) // 2], v[len(v) // 2:])]
-    return v[0]
-
-
-def _fused_lambdas(x, c):
-    """:func:`_lambdas`'s order with every product fused into its add."""
-    n, a, b = len(x), 0.0, 0.0
-    for i in range(0, n - n % 8, 8):
-        for j in (6, 4, 2, 0):
-            a, b = _fused(x[i + j], c[i + j], a), _fused(x[i + j + 1], c[i + j + 1], b)
-    for i in range(n - n % 8, n - 1, 2):
-        a, b = _fused(x[i], c[i], a), _fused(x[i + 1], c[i + 1], b)
-    return _fused(x[-1], c[-1], a) + b if n % 2 else a + b
-
-
-@pytest.mark.parametrize("order, first", [
-    pytest.param(_in_lanes(1, _pairs), 3, id="in-order"),
-    pytest.param(_in_lanes(1, _pairs, fma=True), 2, id="in-order-fused"),
-    pytest.param(_in_lanes(2, _pairs), 8, id="two-lanes-forward"),
-    pytest.param(_fused_lambdas, 3, id="two-lanes-fused"),
-    pytest.param(_in_lanes(4, _pairs), 3, id="four-lanes-pairs"),
-    pytest.param(_in_lanes(4, _halves), 5, id="four-lanes-halves"),
-    pytest.param(_in_lanes(8, _pairs), 3, id="eight-lanes-pairs"),
-])
-def test_the_einsum_probe_refuses_another_order(monkeypatch, order, first):
-    # An einsum that adds in another order, or fuses its multiplies, fails the
-    # probe at every row length from the first at which its sums can differ
-    # from _lambdas' up to the limit, so such a build runs every row as a block
-    # of one.  Below that length the two are the same sums and both pass.
-    def einsum(subscripts, x, matrix):
-        xs, rows = np.ravel(x).tolist(), matrix.tolist()
-        return np.array([order(xs, c) for c in rows]).reshape(np.shape(x)[:-1] + (len(rows),))
-
-    probe = cache(models._einsum_adds_as_lambdas.__wrapped__)
-    monkeypatch.setattr(models, "_einsum_adds_as_lambdas", probe)
-    monkeypatch.setattr(models.np, "einsum", einsum)
-    assert [probe(n) for n in range(1, FLOAT_ROW_LIMIT + 1)] == [n < first for n in range(1, FLOAT_ROW_LIMIT + 1)]
-    assert IngarchSpec(1, 4, [1.0], [[[0.1]]] * 4, [[[0.1]]] * 4).float_lead is None  # k = 8
+    monkeypatch.setattr(models, "ingarch_chain_step", counted)
+    lags = ([[0.2, 0.05], [0.1, 0.15]], [[0.1, 0.0], [0.05, 0.1]])
+    spec = IngarchSpec(2, 2, [1.0, 0.5], lags, lags[::-1])
+    row = np.array([3.5, 1.25, 2.0, 0.75, 4.0, 1.0, 2.0, 0.0])
+    new_list, counts, lam = step(spec, row.tolist(), block_rng(3, 0))
+    new, counts_block, lam_block = step(spec, row[None, None], block_rng(3, 0))
+    assert len(calls) == 2
+    assert (new.dtype, counts_block.dtype, lam_block.dtype) == (np.float64, np.int64, np.float64)
+    assert new.shape == (1, 1, 8) and counts_block.shape == lam_block.shape == (1, 1, 2)
+    assert new[0, 0].tolist() == [float(v) for v in new_list]
+    assert counts_block[0, 0].tolist() == counts and lam_block[0, 0].tolist() == lam
+    for shape in ((2, 1), (1, 2)):
+        step(spec, np.broadcast_to(row, shape + row.shape).copy(), block_rng(3, 0))
+    assert len(calls) == 2
 
 
 _IDENTITY_2D = ([[1.0, 0.0], [0.0, 1.0]],)
