@@ -58,9 +58,6 @@ from .randomness import (  # noqa: F401  (make_stream, thinning: perfbench/trace
 #: Any component of mu above this puts lambda past the intensity limit; treat as blow-up.
 MU_LIMIT = float(np.log(INTENSITY_LIMIT))
 
-#: GINAR counts above this are refused: thinning needs them exact in 64 bits.
-COUNT_LIMIT = 2**62
-
 #: A linear row of independent counts whose ``p`` lead rows of the stepping
 #: matrix hold at most this many products (``2 p**2 q``) steps in Python
 #: floats (:func:`ingarch_chain_step`): p = 1 up to q = 50, p = 2 up to q = 12,
@@ -389,22 +386,19 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
 
     Returns ``(state, counts, mean)``; ``mean`` is the conditional mean
     ``immigration.mean() + sum_j mean_matrices[j] @ window[j]``.  Lags stay
-    int64, so thinning reads them exactly.  The range check, the same for
-    every counting family, refuses a mean above :data:`COUNT_LIMIT` before
-    any draw, so the int64 sums of the draws stay below 2**64.  A sum past
-    2**63, which a geometric tail can still reach, leaves a negative count;
-    that, and a draw that refuses its parameters (geometric counting means
-    past about 8e17 do at any count), are divergences too.
+    int64, so thinning reads them exactly.  The range check is the intensity
+    models' own, a mean past 1e18 before any draw (:func:`check_intensities`),
+    under which no draw refuses its parameters: each thinning term's mean
+    ``m n`` is at most 1e18, within numpy's Poisson and negative binomial
+    limits (:class:`GinarSpec` bounds a geometric ``m`` for ``n = 1``).  A sum
+    past 2**63, which a gamma-mixed or geometric tail can still reach, leaves
+    a negative count; that is a divergence too.
     """
     p = spec.p
     mean = drift[:, :, :p]
-    if mean.max() > COUNT_LIMIT:
-        raise DivergenceError("mean counts exceeded the 64-bit safe range")
-    try:
-        counts = spec.immigration.sample(rng, state.shape[1]) + shared_thinning(
-            rng, spec.counting_family, spec.stacked_means, state.reshape(state.shape[:2] + (spec.q, p)))
-    except ValueError as exc:
-        raise DivergenceError(f"a draw refused its parameters: {exc}") from exc
+    check_intensities(mean.max())
+    counts = spec.immigration.sample(rng, state.shape[1]) + shared_thinning(
+        rng, spec.counting_family, spec.stacked_means, state.reshape(state.shape[:2] + (spec.q, p)))
     if counts.min() < 0:
         raise DivergenceError("counts wrapped past the 64-bit range")
     lags = counts if spec.q == 1 else np.concatenate((counts, state[:, :, :-p]), axis=2)
@@ -501,7 +495,7 @@ def step(spec: ModelSpec, state: np.ndarray | list, rng: np.random.Generator):
     consumes the same noise.  ``intensity`` is the conditional mean of the
     counts given the window.  Either state is checked against the model:
     ``k`` entries, an integer dtype exactly for GINAR; a state of any other
-    rank fails.  A linear model with a :attr:`~IngarchSpec.float_lead`, the
+    rank or type fails.  A linear model with a :attr:`~IngarchSpec.float_lead`, the
     row simulate-path and criterion 1 run, steps a row and a ``(1, 1, k)``
     block in :func:`ingarch_chain_step`; the row comes back as a list, which
     only such a model takes and which is checked for its length only.  Every
@@ -512,10 +506,12 @@ def step(spec: ModelSpec, state: np.ndarray | list, rng: np.random.Generator):
     lead = spec.float_lead if spec.kind == "ingarch" else None
     if isinstance(state, list):
         row, fits = True, lead is not None and len(state) == len(offset)
-    else:
+    elif isinstance(state, np.ndarray):
         row = state.ndim == 1
         fits = state.shape[0 if row else 2:] == offset.shape and \
             (state.dtype.kind == "i") == isinstance(spec, GinarSpec)
+    else:  # no other sequence is a row
+        row, fits = True, False
     if not fits:
         raise ConfigurationError(f"{'row' if row else 'block'} state does not match a {spec.kind} model")
     if row and lead is not None:

@@ -58,7 +58,7 @@ _MASK64 = (1 << 64) - 1
 #: Counting-sequence families supported by the thinning operator.
 COUNTING_FAMILIES = ("bernoulli", "poisson", "geometric")
 
-#: Intensities above this are refused; counts would overflow 64-bit integers.
+#: Conditional means above this are refused; counts would overflow 64-bit integers.
 INTENSITY_LIMIT = 1e18
 
 #: numpy's Poisson limit: it refuses ``negative_binomial(n, p)`` when ``(1 - p) / p * (n + 10 sqrt(n))`` exceeds it.
@@ -181,7 +181,10 @@ def _draw(method, *params) -> np.ndarray:
 
 
 def check_intensities(peak: float) -> None:
-    """Refuse an intensity peak past the limit; the draws refuse negative and NaN intensities."""
+    """Refuse a conditional mean peak past the limit, every family's one range rule (log-linear's in ``mu``).
+
+    The draws refuse negative and NaN intensities.
+    """
     if peak > INTENSITY_LIMIT:
         raise DivergenceError(f"intensity exceeded {INTENSITY_LIMIT:g}")
 
@@ -333,13 +336,12 @@ def shared_thinning(rng: np.random.Generator, family: str, means: np.ndarray, co
     shorter one (:func:`_split`).  Sums of ``n`` terms are drawn in closed form:
     ``Bin(n, m)`` (bernoulli), ``Poisson(n m)`` summed over the lags and
     columns (poisson) or a negative binomial, drawn only where ``n > 0``
-    (geometric).
+    (geometric).  The caller checks each chain's conditional mean, which
+    bounds every part's thinning mean, against the intensity limit.
     """
     parts = _split(counts)
     if family == "poisson":
-        mean = np.einsum("jil,krjl->kri", means, parts)
-        check_intensities(mean.max())
-        sums = _draw(rng.poisson, mean)
+        sums = _draw(rng.poisson, np.einsum("jil,krjl->kri", means, parts))
     else:
         n = parts[:, :, :, None, :]
         if family == "bernoulli":

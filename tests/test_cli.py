@@ -738,13 +738,14 @@ experiment:
 
 
 def test_ginar_counts_past_64_bits_are_a_divergence(tmp_path, capsys):
-    # Each count quadruples from 2**52; the sums of four 2**62 terms at t = 5
-    # would wrap to 0 and look like coalescence.
+    # Each count quadruples from 2**52, so the mean is 2**60 at t = 3, past
+    # 1e18; the sums of four 2**62 terms at t = 5 would wrap to 0 and look
+    # like coalescence.
     code = cli.main(["couple", "--config", write(tmp_path, WRAPPING_COUPLE), "--out", str(tmp_path / "w"),
                      "--jobs", "1"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: trajectory diverged: ") and err.rstrip().endswith("(at time index 5)")
+    assert err.startswith("error: trajectory diverged: ") and err.rstrip().endswith("(at time index 3)")
 
 
 def test_value_error_from_the_engine_exits_with_a_message(tmp_path, capsys, monkeypatch):

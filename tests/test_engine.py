@@ -122,15 +122,16 @@ def test_divergence_index_is_the_first_step_that_fails():
 @pytest.mark.parametrize("spec, seed, message", [
     pytest.param(IngarchSpec(1, 1, [1.0], ([[0.5]],), ([[0.7]],)), 3, "intensity exceeded 1e", id="ingarch-intensity"),
     pytest.param(GinarSpec(1, 1, ([[1.5]],), "geometric", ImmigrationSpec("poisson", [1.0])), 3,
-                 "counts exceeded the 64-bit safe range", id="ginar-geometric-counts"),
+                 "intensity exceeded 1e", id="ginar-geometric-counts"),
     pytest.param(GinarSpec(1, 1, ([[1.5]],), "poisson", ImmigrationSpec("poisson", [1.0])), 3,
                  "intensity exceeded 1e", id="ginar-poisson-thinning-mean"),
     pytest.param(LogLinearSpec(1, 1, [0.5], ([[1.3]],), ([[0.2]],)), 8, "log intensity exceeded", id="loglinear-mu"),
-    # Five lag x column terms of up to 2**62 each: their int64 sum would wrap.
+    # Five lag x column terms: the mean passes 1e18 before their int64 sum could wrap.
     pytest.param(GinarSpec(5, 1, ([[1.0] * 5] * 5,), "bernoulli", ImmigrationSpec("constant", [1] * 5)), 3,
-                 "mean counts exceeded the 64-bit safe range", id="ginar-bernoulli-sum-of-terms"),
-    # A stationary model whose geometric immigration tail passes 2**63.
-    pytest.param(GinarSpec(1, 1, ([[0.1]],), "bernoulli", ImmigrationSpec("geometric", [1e18])), 33,
+                 "intensity exceeded 1e", id="ginar-bernoulli-sum-of-terms"),
+    # A stationary model whose mean stays below 1e18 (9.9e17 + 1e-3 * 2**63)
+    # while its geometric immigration tail passes 2**63.
+    pytest.param(GinarSpec(1, 1, ([[1e-3]],), "bernoulli", ImmigrationSpec("geometric", [9.9e17])), 33,
                  "counts wrapped past the 64-bit range", id="ginar-geometric-immigration-tail"),
 ])
 def test_each_family_fails_at_its_range_check(spec, seed, message):
@@ -161,9 +162,10 @@ def test_linear_intensity_offsets_past_the_intensity_limit_are_refused():
 
 def test_a_draw_that_refuses_its_parameters_is_a_divergence():
     # numpy refuses a negative binomial whose Poisson mixing could pass its limit:
-    # this mean draws one term, but not the two that immigration brings in at step 0.
+    # this mean draws one term, but not the two that immigration brings in at
+    # step 0.  Their mean, 1.4e18, is past the mean rule, which refuses it first.
     spec = GinarSpec(1, 1, ([[7e17]],), "geometric", ImmigrationSpec("constant", [2]))
-    with pytest.raises(DivergenceError, match="a draw refused its parameters") as err:
+    with pytest.raises(DivergenceError, match="intensity exceeded 1e") as err:
         simulate(spec, 10, 0)
     assert err.value.time_index == 1
 
@@ -182,6 +184,41 @@ def test_a_divergence_in_a_pool_worker_keeps_its_index(monkeypatch, replicates):
             couple_ensemble(spec, 400, default_window(spec), window, master_seed=9, replicates=replicates, jobs=jobs)
         errors.append(err.value)
     assert errors[0].time_index == errors[1].time_index > 0
+    assert str(errors[0]) == str(errors[1])
+
+
+def _ginar_at_the_limit(thinning: float) -> GinarSpec:
+    """Poisson immigration of mean 1e18 from the zero window, and bernoulli thinning of mean ``thinning``.
+
+    With no thinning every step's mean is exactly 1e18.  A thinning mean of
+    1e-16 adds about 100 to step 1's mean, which rounds to 1e18 + 128, one
+    ulp past the limit, whatever step 0's count of about 1e18 drew.
+    """
+    return GinarSpec(1, 1, ([[thinning]],), "bernoulli", ImmigrationSpec("poisson", [1e18]))
+
+
+_LIMIT_REGIMES = {
+    "row": lambda spec, T, jobs: simulate(spec, T, 0, master_seed=5).intensities,
+    "block-of-8": lambda spec, T, jobs: monte_carlo_moments(spec, [1.0], [1e-20], T, burn_in=0, replicates=8,
+                                                            master_seed=5, jobs=jobs),
+    "coupled-pair": lambda spec, T, jobs: couple_ensemble(spec, T, default_window(spec), {"counts": [[7]]},
+                                                          master_seed=5, replicates=1, jobs=jobs),
+}
+
+
+@pytest.mark.parametrize("regime", list(_LIMIT_REGIMES))
+def test_a_ginar_mean_runs_at_1e18_and_diverges_one_ulp_past_it(monkeypatch, regime):
+    monkeypatch.setattr(engine, "POOL_MIN_BLOCK_STEPS", 0)  # so that jobs=2 runs the blocks in a worker
+    run = _LIMIT_REGIMES[regime]
+    result = run(_ginar_at_the_limit(0.0), 20, 2)
+    if regime == "row":
+        assert np.all(result == 1e18)
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(DivergenceError, match=r"intensity exceeded 1e\+18") as err:
+            run(_ginar_at_the_limit(1e-16), 20, jobs)
+        errors.append(err.value)
+    assert errors[0].time_index == errors[1].time_index == 1
     assert str(errors[0]) == str(errors[1])
 
 

@@ -9,6 +9,7 @@ from countsim.linalg import companion, spectral_radius
 from countsim import models
 from countsim.models import (
     FLOAT_ROW_LIMIT,
+    IMMIGRATION_FAMILIES,
     GinarSpec,
     ImmigrationSpec,
     IngarchSpec,
@@ -23,7 +24,14 @@ from countsim.models import (
     validate_window,
     window_distance,
 )
-from countsim.randomness import Dependence, block_rng, make_stream, shared_poisson
+from countsim.randomness import (
+    COUNTING_FAMILIES,
+    POISSON_LAM_MAX,
+    Dependence,
+    block_rng,
+    make_stream,
+    shared_poisson,
+)
 
 
 def ginar_2d():
@@ -418,13 +426,14 @@ def test_step_rejects_mismatched_state():
     pytest.param(ingarch_1d(), [1.0], id="ingarch-short-list"),
     pytest.param(ingarch_1d(), [1.0, 0, 0], id="ingarch-long-list"),
     pytest.param(ginar_2d(), [1, 2], id="ginar-list"),
+    pytest.param(ingarch_1d(), (1.0, 0), id="ingarch-tuple"),
     pytest.param(IngarchSpec(1, 1, [1.0], ([[0.3]],), ([[0.5]],), {"scheme": "comonotone"}), [1.0, 0],
                  id="copula-list"),
 ])
 def test_a_row_that_does_not_match_the_model_is_refused(spec, row):
     # A row is checked by the block's rule: k entries, an integer dtype exactly
     # for GINAR.  A list, the float step's own row, is checked for its length,
-    # and only a row with a float_lead takes one.
+    # and only a row with a float_lead takes one; no other sequence is a row.
     with pytest.raises(ConfigurationError, match=f"row state does not match a {spec.kind} model"):
         step(spec, row, block_rng(1, 0))
 
@@ -459,25 +468,6 @@ def test_the_float_lambdas_add_as_einsum_does(k):
         assert _lambdas(x, list(zip(c.tolist(), d.tolist()))) == expected
 
 
-@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 4), (2, 3), (3, 2), (4, 1), (1, 50), (2, 12), (5, 2), (7, 1)])
-def test_the_float_row_steps_as_a_block_of_one_does(p, q):
-    # The same step from the same row with counts past 2**53, as a list in the
-    # float regime and as a block of one: lambda, counts and the new row agree
-    # bit for bit, up to the largest rows the float regime admits.
-    gen = np.random.default_rng(p * 100 + q)
-    lags = [(gen.uniform(0, 1e-4, (p, p))).tolist() for _ in range(2 * q)]
-    row = gen.uniform(0, 1e12, 2 * p * q).tolist()
-    row[p * q:] = [int(v) for v in gen.integers(2**53, 2**60, p * q)]
-    floats = np.array(row[:p * q] + [float(np.int64(v)) for v in row[p * q:]])
-    spec = IngarchSpec(p, q, [1.0] * p, lags[:q], lags[q:])
-    assert spec.float_lead is not None
-    new_list, counts, lam = step(spec, row, block_rng(3, 0))
-    new_block, counts_block, lam_block = step(spec, floats[None, None], block_rng(3, 0))
-    assert isinstance(new_list, list)
-    assert lam == lam_block[0, 0].tolist() and counts == counts_block[0, 0].tolist()
-    assert [float(v) for v in new_list] == new_block[0, 0].tolist()
-
-
 @pytest.mark.parametrize("p, q", [(1, FLOAT_ROW_LIMIT // 2 + 1), (8, 1)])
 def test_a_row_past_the_float_limit_runs_as_a_block_of_one(p, q):
     spec = IngarchSpec(p, q, [1.0] * p, [np.eye(p) * 0.1 / q] * q, [np.eye(p) * 0.1 / q] * q)
@@ -490,8 +480,9 @@ def test_a_row_past_the_float_limit_runs_as_a_block_of_one(p, q):
 
 def test_a_block_of_one_of_a_float_row_model_steps_in_floats(monkeypatch):
     # A (1, 1, k) block takes the float step and comes back as arrays in the
-    # block's dtypes, equal to the list row's step; a block of two replicates
-    # or of two chains still runs the einsum block path.
+    # block's dtypes, equal to the list row's step, whose counts are ints past
+    # 2**53 that the block holds as float64 rounds them; a block of two
+    # replicates or of two chains still runs the einsum block path.
     chain_step, calls = models.ingarch_chain_step, []
 
     def counted(*args):
@@ -501,16 +492,17 @@ def test_a_block_of_one_of_a_float_row_model_steps_in_floats(monkeypatch):
     monkeypatch.setattr(models, "ingarch_chain_step", counted)
     lags = ([[0.2, 0.05], [0.1, 0.15]], [[0.1, 0.0], [0.05, 0.1]])
     spec = IngarchSpec(2, 2, [1.0, 0.5], lags, lags[::-1])
-    row = np.array([3.5, 1.25, 2.0, 0.75, 4.0, 1.0, 2.0, 0.0])
-    new_list, counts, lam = step(spec, row.tolist(), block_rng(3, 0))
-    new, counts_block, lam_block = step(spec, row[None, None], block_rng(3, 0))
-    assert len(calls) == 2
+    row = [3.5, 1.25, 2.0, 0.75, 2**53 + 1, 2**55 + 3, 2**60 + 5, 7]
+    block = np.array(row, dtype=float)[None, None]
+    new_list, counts, lam = step(spec, row, block_rng(3, 0))
+    new, counts_block, lam_block = step(spec, block, block_rng(3, 0))
+    assert len(calls) == 2 and isinstance(new_list, list)
     assert (new.dtype, counts_block.dtype, lam_block.dtype) == (np.float64, np.int64, np.float64)
     assert new.shape == (1, 1, 8) and counts_block.shape == lam_block.shape == (1, 1, 2)
     assert new[0, 0].tolist() == [float(v) for v in new_list]
     assert counts_block[0, 0].tolist() == counts and lam_block[0, 0].tolist() == lam
     for shape in ((2, 1), (1, 2)):
-        step(spec, np.broadcast_to(row, shape + row.shape).copy(), block_rng(3, 0))
+        step(spec, np.broadcast_to(block, shape + (8,)).copy(), block_rng(3, 0))
     assert len(calls) == 2
 
 
@@ -538,6 +530,47 @@ def test_row_step_refuses_what_the_block_step_refuses(spec, row):
     with pytest.raises(DivergenceError) as by_block:
         step(spec, block_state([np.array(row)]), block_rng(1, 0))
     assert str(by_row.value) == str(by_block.value)
+
+
+#: Each counting family's largest admissible mean: bernoulli's 1, none for
+#: poisson (so the intensity limit), and the geometric rule's bound.
+_LARGEST_COUNTING_MEAN = {"bernoulli": 1.0, "poisson": 1e18, "geometric": POISSON_LAM_MAX / 11}
+
+
+def _ginar_at_its_largest_means(gen: np.random.Generator, counting: str, immigration: str) -> GinarSpec:
+    """A GINAR spec whose entries are its family's largest admissible mean, 0 or a random fraction of it."""
+    p, q = int(gen.integers(1, 4)), int(gen.integers(1, 3))
+    scale = gen.choice([1.0, 0.0, -1.0], size=(q, p, p), p=[0.4, 0.2, 0.4])
+    scale[scale < 0] = gen.uniform(size=int((scale < 0).sum())) ** 4
+    if immigration == "constant":
+        values = gen.integers(0, 2**53, p).tolist()
+    else:
+        values = (1e18 * np.where(gen.uniform(size=p) < 0.5, 1.0, gen.uniform(size=p))).tolist()
+    return GinarSpec(p, q, tuple(_LARGEST_COUNTING_MEAN[counting] * scale), counting,
+                     ImmigrationSpec(immigration, values))
+
+
+def test_ginar_steps_at_the_largest_means_end_in_success_or_divergence():
+    # Under the one mean rule no GINAR draw refuses its parameters: each split
+    # part's thinning mean is at most its chain's checked mean, a geometric
+    # term's m (n + 10 sqrt(n)) stays below numpy's limit for n >= 2 and
+    # GinarSpec's rule covers n = 1.  Starting lags put the mean between half
+    # and four times 1e18, in a row, a block of 8 and a coupled pair.
+    gen = np.random.default_rng(0)
+    for i in range(270):
+        spec = _ginar_at_its_largest_means(gen, COUNTING_FAMILIES[i % 3], IMMIGRATION_FAMILIES[i // 3 % 3])
+        weight = max(float(spec.stacked_means.sum(axis=(0, 2)).max()), 1e-300)
+        for chains, replicates in ((1, 1), (1, 8), (2, 4)):
+            factor = np.exp(gen.uniform(np.log(0.5), np.log(4.0), (chains, replicates, spec.q * spec.p)))
+            state = np.minimum(1e18 / weight * factor, 2.0**62).astype(np.int64)
+            if replicates == 1:
+                state = state[0, 0]  # a row
+            rng = block_rng(0, i)
+            try:
+                for _ in range(5):
+                    state, _, _ = step(spec, state, rng)
+            except DivergenceError:
+                pass
 
 
 def test_ginar_order_two_equals_hand_stacked_pair_map():

@@ -483,6 +483,35 @@ def test_shared_counts_marginals_and_monotone_coupling(scheme):
         assert np.array_equal(equal[0, :, 0], equal[0, :, 1])
 
 
+def _copula_cdf(scheme: str, lam: tuple, rho: float, top: int) -> np.ndarray:
+    """P(Y_1 <= a, Y_2 <= b) of a copula's Poisson pair, for a and b in -1, 0, ..., top - 1 and infinity."""
+    f = [np.append(scipy.stats.poisson(m).cdf(np.arange(-1, top)), 1.0) for m in lam]
+    if scheme == "comonotone":
+        return np.minimum.outer(f[0], f[1])
+    z = np.meshgrid(*map(scipy.stats.norm.ppf, f), indexing="ij")
+    return scipy.stats.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf(np.dstack(z))
+
+
+@pytest.mark.parametrize("scheme", ["comonotone", "gaussian"])
+def test_shared_counts_pairs_follow_the_copula(scheme):
+    # The joint law of one step's two coordinates, cell by cell against the
+    # exact bivariate CDF: min(F_1(a), F_2(b)) for one shared score, and
+    # Phi_2(Phi^-1(F_1(a)), Phi^-1(F_2(b)); rho) for the Gaussian copula.
+    # Counts from top on share one cell; cells the law never reaches stay empty.
+    lam, rho, n, top = (2.0, 5.0), 0.6, 20000, 12
+    dep = Dependence("gaussian", [[1.0, rho], [rho, 1.0]]) if scheme == "gaussian" else Dependence(scheme)
+    counts = np.minimum(shared_counts(block_rng(28, 0), dep, np.broadcast_to(lam, (1, n, 2)).copy())[0], top)
+    observed = np.zeros((top + 1, top + 1))
+    np.add.at(observed, (counts[:, 0], counts[:, 1]), 1)
+    expected = np.diff(np.diff(_copula_cdf(scheme, lam, rho, top), axis=0), axis=1) * n
+    assert observed[expected <= 0].sum() == 0
+    keep = expected >= 5
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert scipy.stats.chi2.sf(stat, len(exp) - 1) > 0.001
+
+
 def test_shared_counts_intensity_guards():
     # The intensity limit itself is the linear step's check (see
     # test_each_family_fails_at_its_range_check); the copula's inverse CDF
