@@ -214,12 +214,18 @@ class ImmigrationSpec:
         return self.sample(stream.rng, 1)[0]
 
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
-        """A ``(replicates, p)`` array of independent immigration vectors."""
+        """A ``(replicates, p)`` array of independent immigration vectors.
+
+        A geometric draw past the 64-bit range is a :class:`DivergenceError`.
+        """
         shape = (replicates,) + self.values.shape
         if self.family == "poisson":
             return _draw(rng.poisson, _filled(self.values, shape))
         if self.family == "geometric":
-            return _draw(rng.geometric, _filled(1.0 / (1.0 + self.values), shape)) - 1
+            draws = _draw(rng.geometric, _filled(1.0 / (1.0 + self.values), shape))
+            if draws.max() == 2**63 - 1:  # numpy's value for every draw past it
+                raise DivergenceError("counts wrapped past the 64-bit range")
+            return draws - 1
         return np.broadcast_to(self.values.astype(np.int64), shape).copy()
 
 
@@ -392,7 +398,9 @@ def ginar_block_step(spec: GinarSpec, state: np.ndarray, drift: np.ndarray, rng:
     ``m n`` is at most 1e18, within numpy's Poisson and negative binomial
     limits (:class:`GinarSpec` bounds a geometric ``m`` for ``n = 1``).  A sum
     past 2**63, which a gamma-mixed or geometric tail can still reach, leaves
-    a negative count; that is a divergence too.
+    a negative count; that is a divergence too, and so is a geometric
+    immigration draw past it, which numpy returns as 2**63 - 1
+    (:meth:`ImmigrationSpec.sample`).
     """
     p = spec.p
     mean = drift[:, :, :p]

@@ -34,24 +34,23 @@ same bits and the same argument checks, and larger arrays use one array call.
 A lineage part, a seed or a replicate id, lies in ``[0, 2**64)``
 (:func:`checked_lineage`).
 
-No run calls the per-step primitives addressed by ``(master_seed,
-replicate_id, time_index)`` (:class:`PoissonProcessPath`, :class:`CountNoise`,
-:class:`CountingCache`, :func:`thinning`, :func:`make_stream`).  Only
-:func:`poisson_inverse_cdf` is a scalar reference, the one the law tests check
-:func:`poisson_quantile`'s lower half against; the rest stays only because the
-benchmark tracer (``perfbench/tracer.py``) patches it by name.
+The per-step noise layer is gone.  :class:`PoissonProcessPath`,
+:class:`CountNoise`, :class:`CountingCache` and :func:`thinning` are empty
+stubs that raise :class:`NotImplementedError`, kept only because the
+benchmark tracer (``perfbench/tracer.py``) patches them by name, until it
+stops patching.  :func:`poisson_inverse_cdf` is the one scalar reference
+left: the law tests check :func:`poisson_quantile`'s lower half against it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, Problems, checked_array, checked_int
+from .errors import DivergenceError, Problems, checked_array, checked_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,8 +88,8 @@ class Stream:
     with different lineages are statistically independent.  The generator is
     built lazily on first use (derivation chains create many streams that
     never draw).  Instances own their generator state and must not be shared
-    between concurrent tasks.  Only the per-step primitives draw through
-    streams; :func:`block_rng` seeds from the same mixer directly.
+    between concurrent tasks.  No run draws through a stream:
+    :func:`block_rng` seeds from the same mixer directly.
     """
 
     __slots__ = ("lineage", "_rng")
@@ -383,75 +382,6 @@ def poisson_inverse_cdf(u: float, lam: float) -> int:
     return k
 
 
-class PoissonProcessPath:
-    """One realization of a unit-rate Poisson process on the half line.
-
-    Arrival times are materialized lazily as partial sums of unit-mean
-    exponential interarrivals, so the same realization can be counted at
-    several intensities: counts are monotone in the intensity and extending
-    the horizon never changes arrivals already drawn.
-
-    Beyond :attr:`dense_cap` arrivals are no longer materialized one by one;
-    counts are recorded at the queried points instead and new queries are
-    filled in exactly with Poisson increments past the frontier and binomial
-    bridges between recorded points.  This keeps evaluation O(1) for the very
-    large intensities reached by nonstationary configurations.
-    """
-
-    #: Largest time up to which individual arrivals are materialized.
-    dense_cap = 4096.0
-
-    __slots__ = ("arrivals", "_marks")
-
-    def __init__(self):
-        self.arrivals: list[float] = []
-        # Sorted (time, count) records governing times beyond the dense region.
-        self._marks: list[tuple[float, int]] = []
-
-    def count(self, lam: float, stream: Stream) -> int:
-        """Number of arrivals in (0, lam], extending the path if needed."""
-        if not math.isfinite(lam) or lam < 0.0:
-            raise ValueError(f"intensity must be finite and nonnegative, got {lam}")
-        if lam == 0.0:
-            return 0
-        if not self._marks and lam <= self.dense_cap:
-            self._extend_dense(lam, stream)
-            return bisect_right(self.arrivals, lam)
-        return self._count_marked(lam, stream)
-
-    def _extend_dense(self, lam: float, stream: Stream) -> None:
-        # Materialize until one arrival lies strictly beyond lam.
-        total = self.arrivals[-1] if self.arrivals else 0.0
-        while total <= lam:
-            gaps = stream.rng.exponential(size=16)
-            for g in gaps:
-                total += g
-                self.arrivals.append(total)
-            total = self.arrivals[-1]
-
-    def _count_marked(self, lam: float, stream: Stream) -> int:
-        if not self._marks:
-            # Anchor the mark records at the dense frontier.
-            anchor_t = self.arrivals[-1] if self.arrivals else 0.0
-            self._marks.append((anchor_t, len(self.arrivals)))
-        if lam <= self._marks[0][0]:
-            return bisect_right(self.arrivals, lam)
-        idx = bisect_right(self._marks, (lam, float("inf")))
-        lo_t, lo_n = self._marks[idx - 1]
-        if lam == lo_t:
-            return lo_n
-        if idx == len(self._marks):
-            count = lo_n + int(stream.rng.poisson(lam - lo_t))
-        else:
-            hi_t, hi_n = self._marks[idx]
-            gap = hi_n - lo_n
-            count = lo_n
-            if gap > 0:
-                count += int(stream.rng.binomial(gap, (lam - lo_t) / (hi_t - lo_t)))
-        insort(self._marks, (lam, count))
-        return count
-
-
 @dataclass(frozen=True, eq=False)
 class Dependence:
     """Joint law of the per-coordinate unit Poisson noise.
@@ -499,99 +429,30 @@ class Dependence:
         object.__setattr__(self, "cholesky", chol)
 
 
+def _removed(*args, **kwargs):
+    """The one body of the four removed per-step names the benchmark tracer still patches."""
+    raise NotImplementedError(
+        "the per-step noise layer is removed; draw in closed form with "
+        "shared_poisson, shared_counts or shared_thinning")
+
+
+class PoissonProcessPath:
+    """Stub of a removed per-step Poisson path; :func:`shared_poisson` draws its counts."""
+
+    dense_cap = 4096.0  # read by perfbench/tracer.py
+    count = _removed
+
+
 class CountNoise:
-    """Independent unit-rate Poisson counts of a single time step, one process path per coordinate.
+    """Stub of removed per-step independent counts; :func:`shared_counts` draws them."""
 
-    Evaluable at any intensity vector via :meth:`at`; repeated evaluations
-    count the same paths, which is what coupled chains rely on when they
-    share an instance.  Copula counts are drawn by :func:`shared_counts` only.
-    """
-
-    __slots__ = ("p", "_stream", "_paths")
-
-    def __init__(self, p: int, stream: Stream):
-        self.p = int(p)
-        self._stream = stream
-        self._paths = None
-
-    def at(self, lambdas) -> np.ndarray:
-        """Counts with marginal law Poisson(lambdas_j), independent across coordinates."""
-        lam = np.asarray(lambdas, dtype=float)
-        if lam.shape != (self.p,):
-            raise ValueError(f"expected {self.p} intensities, got shape {lam.shape}")
-        check_intensities(lam.max())
-        if self._paths is None:
-            self._paths = [PoissonProcessPath() for _ in range(self.p)]
-        counts = [path.count(x, self._stream) for path, x in zip(self._paths, lam.tolist())]
-        return np.array(counts, dtype=np.int64)
-
-
-def _draw_counting(family: str, mean: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` i.i.d. nonnegative-integer draws with the given mean."""
-    if family == "bernoulli":
-        if mean > 1.0:
-            raise ConfigurationError(f"bernoulli counting mean {mean} exceeds 1")
-        return (rng.random(size) < mean).astype(np.int64)
-    if family == "poisson":
-        return rng.poisson(mean, size).astype(np.int64)
-    if family == "geometric":
-        # Geometric on {0, 1, 2, ...} with success probability 1/(1+mean).
-        return (rng.geometric(1.0 / (1.0 + mean), size) - 1).astype(np.int64)
-    raise ConfigurationError(f"unknown counting family {family!r}, expected one of {COUNTING_FAMILIES}")
+    at = _removed
 
 
 class CountingCache:
-    """Lazily extended counting sequences keyed by (t, j, i, l).
+    """Stub of removed per-step counting sequences; :func:`shared_thinning` sums them."""
 
-    Extensions append draws from the supplied stream and never touch earlier
-    entries, so re-reading a key always returns the same prefix: two coupled
-    chains sharing a cache see the same underlying variables wherever their
-    counts overlap.  Instances are single-owner (or shared deliberately
-    between two coupled chains processed in turn).
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[int, int, int, int], list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def draws(self, key: tuple[int, int, int, int], n: int, family: str, mean: float, stream: Stream) -> list[int]:
-        """First ``n`` draws of the sequence at ``key``, extending on demand."""
-        if n <= 0:
-            return []
-        values = self._entries.get(key)
-        if values is None:
-            values = []
-            self._entries[key] = values
-        deficit = n - len(values)
-        if deficit > 0:
-            values.extend(int(v) for v in _draw_counting(family, mean, deficit, stream.rng))
-        return values[:n]
+    draws = _removed
 
 
-def thinning(cache: CountingCache, key: tuple[int, int], mean_matrix: np.ndarray, family: str, x, stream: Stream) -> np.ndarray:
-    """Apply the thinning operator to a count vector.
-
-    Coordinate ``i`` of the result is the sum over ``l`` of the first
-    ``x[l]`` draws of the counting sequence with mean ``mean_matrix[i, l]``,
-    read from the cache under key ``(t, j, i, l)`` with ``(t, j) = key``.
-    The conditional mean of the output is ``mean_matrix @ x``.
-    """
-    t, j = key
-    counts = np.asarray(x)
-    if np.any(counts < 0):
-        raise ValueError("thinning input must be nonnegative")
-    p = mean_matrix.shape[0]
-    out = np.zeros(p, dtype=np.int64)
-    for i in range(p):
-        row = mean_matrix[i]
-        acc = 0
-        for l in range(p):
-            n = int(counts[l])
-            mean = float(row[l])
-            if n == 0 or mean == 0.0:
-                continue
-            acc += sum(cache.draws((t, j, i, l), n, family, mean, stream))
-        out[i] = acc
-    return out
+thinning = _removed

@@ -145,6 +145,19 @@ def test_each_family_fails_at_its_range_check(spec, seed, message):
     assert err.value.time_index == k
 
 
+def test_a_geometric_immigration_draw_past_64_bits_is_a_divergence():
+    # numpy returns 2**63 - 1 for every geometric draw past it, which the row
+    # reported as the count 2**63 - 2 at t = 11962; no thinning sum wraps it.
+    # About one draw in 10,000 passes 2**63 at mean 1e18.
+    spec = GinarSpec(1, 1, ([[0.0]],), "bernoulli", ImmigrationSpec("geometric", [1e18]))
+    with pytest.raises(DivergenceError, match="counts wrapped past the 64-bit range") as err:
+        simulate(spec, 30000, 0, master_seed=1)
+    assert 0 < err.value.time_index <= 11962
+    with pytest.raises(DivergenceError, match="counts wrapped past the 64-bit range") as err:
+        monte_carlo_moments(spec, [1.0], [1e-20], 2000, burn_in=0, replicates=64, master_seed=1)
+    assert err.value.time_index > 0
+
+
 @pytest.mark.parametrize("family", ["poisson", "geometric"])
 def test_immigration_means_past_the_intensity_limit_are_refused(family):
     with pytest.raises(ConfigError, match=r"immigration\.values\[0\]: mean 1e\+19 exceeds 1e\+18"):

@@ -8,10 +8,7 @@ import scipy.stats
 from countsim import randomness
 from countsim.errors import ConfigurationError, DivergenceError
 from countsim.randomness import (
-    CountNoise,
-    CountingCache,
     Dependence,
-    PoissonProcessPath,
     block_rng,
     make_stream,
     poisson_inverse_cdf,
@@ -19,7 +16,6 @@ from countsim.randomness import (
     shared_counts,
     shared_poisson,
     shared_thinning,
-    thinning,
 )
 
 
@@ -68,71 +64,14 @@ def test_inverse_cdf_guards():
         poisson_inverse_cdf(0.5, 1e6)  # leading term underflows
 
 
-# --- poisson process paths -------------------------------------------------
-
-def test_path_zero_intensity_counts_nothing():
-    path = PoissonProcessPath()
-    assert path.count(0.0, make_stream(1, 0, 0)) == 0
-    assert path.arrivals == []
-
-
-def test_path_monotone_in_intensity():
-    stream = make_stream(3, 0, 0)
-    path = PoissonProcessPath()
-    c1 = path.count(1.0, stream)
-    c2 = path.count(2.5, stream)
-    assert c1 <= c2
-
-
-def test_path_extension_preserves_arrivals():
-    stream = make_stream(4, 0, 0)
-    path = PoissonProcessPath()
-    path.count(2.0, stream)
-    before = list(path.arrivals)
-    path.count(50.0, stream)
-    assert path.arrivals[: len(before)] == before
-    assert all(b > a for a, b in zip(path.arrivals, path.arrivals[1:]))
-
-
-def test_path_identical_lineage_identical_arrivals():
-    p1 = PoissonProcessPath()
-    p1.count(10.0, make_stream(5, 1, 2))
-    p2 = PoissonProcessPath()
-    p2.count(10.0, make_stream(5, 1, 2))
-    assert p1.arrivals == p2.arrivals
-
+# --- closed-form poisson counts ---------------------------------------------
 
 def test_path_mean_count_matches_intensity():
-    # Fresh paths at intensity 3; sample mean within a 3 sigma band.
+    # Counts at intensity 3; sample mean within a 3 sigma band.
     lam, n = 3.0, 100000
-    counts = np.empty(n)
-    for i in range(n):
-        counts[i] = PoissonProcessPath().count(lam, make_stream(77, 0, i))
+    counts = shared_poisson(block_rng(77, 0), np.full((1, n, 1), lam))[0, :, 0]
     se = counts.std(ddof=1) / math.sqrt(n)
     assert abs(counts.mean() - lam) < 3 * se
-
-
-def test_path_large_intensity_marks_are_consistent():
-    stream = make_stream(8, 0, 0)
-    path = PoissonProcessPath()
-    n_small = path.count(100.0, stream)
-    n_mid = path.count(1e9, stream)
-    n_big = path.count(5e9, stream)
-    n_between = path.count(3e9, stream)
-    assert n_small <= n_mid <= n_between <= n_big
-    # Re-query returns the recorded values exactly.
-    assert path.count(1e9, stream) == n_mid
-    assert path.count(3e9, stream) == n_between
-    # Relative errors at these magnitudes are tiny for a unit-rate process.
-    assert abs(n_big - 5e9) < 5 * math.sqrt(5e9)
-
-
-def test_path_large_then_small_queries_stay_monotone():
-    stream = make_stream(9, 0, 0)
-    path = PoissonProcessPath()
-    big = path.count(1e7, stream)
-    small = path.count(10.0, stream)
-    assert 0 <= small <= big
 
 
 # --- dependence schemes ----------------------------------------------------
@@ -153,8 +92,6 @@ def test_gaussian_scheme_validation():
 
 
 def test_zero_intensities_give_zero_counts():
-    out = CountNoise(3, make_stream(1, 0, 0)).at(np.zeros(3))
-    assert np.array_equal(out, np.zeros(3, dtype=np.int64))
     for dep in (Dependence(), Dependence("comonotone"),
                 Dependence("gaussian", np.eye(3))):
         for chains in (1, 2):
@@ -162,12 +99,15 @@ def test_zero_intensities_give_zero_counts():
             assert np.array_equal(out, np.zeros((chains, 4, 3), dtype=np.int64))
 
 
+def _independent_counts(seed: int, lam: np.ndarray, n: int) -> np.ndarray:
+    """``n`` steps' counts at intensities ``lam`` under the independent scheme, one row per step."""
+    return shared_poisson(block_rng(seed, 0), np.broadcast_to(lam, (1, n, len(lam))).copy())[0]
+
+
 def test_independent_marginal_means():
     lam = np.array([2.0, 5.0])
     n = 100000
-    draws = np.empty((n, 2))
-    for t in range(n):
-        draws[t] = CountNoise(len(lam), make_stream(3, 0, t)).at(lam)
+    draws = _independent_counts(3, lam, n)
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - lam) < 3 * se)
 
@@ -201,44 +141,18 @@ def test_independent_noise_marginals_are_poisson():
     # test_shared_counts_marginals_and_monotone_coupling.
     lam = np.array([2.0, 5.0])
     n = 100000
-    draws = np.empty((n, 2), dtype=np.int64)
-    for t in range(n):
-        draws[t] = CountNoise(len(lam), make_stream(11, 0, t)).at(lam)
+    draws = _independent_counts(11, lam, n)
     for j in range(2):
         assert _chi_square_poisson(draws[:, j], lam[j]) > 0.001
 
 
-def test_intensity_limit_raises_divergence():
-    noise = CountNoise(1, make_stream(1, 0, 0))
-    with pytest.raises(DivergenceError):
-        noise.at(np.array([2e18]))
-
-
-# --- counting cache and thinning --------------------------------------------
-
-def test_cache_prefix_stability():
-    cache = CountingCache()
-    stream = make_stream(6, 0, 0)
-    first = cache.draws((0, 1, 0, 0), 5, "poisson", 1.5, stream)
-    again = cache.draws((0, 1, 0, 0), 3, "poisson", 1.5, stream)
-    assert again == first[:3]
-    extended = cache.draws((0, 1, 0, 0), 9, "poisson", 1.5, stream)
-    assert extended[:5] == first
-
-
-def test_thinning_zero_input_no_growth():
-    cache = CountingCache()
-    out = thinning(cache, (0, 1), np.array([[0.5, 0.2], [0.1, 0.3]]),
-                   "bernoulli", np.zeros(2, dtype=int), make_stream(7, 0, 0))
-    assert np.array_equal(out, np.zeros(2, dtype=np.int64))
-    assert len(cache) == 0
-
+# --- closed-form thinning ----------------------------------------------------
 
 def test_thinning_identity_bernoulli_is_identity():
-    cache = CountingCache()
-    x = np.array([4, 2])
-    out = thinning(cache, (0, 1), np.eye(2), "bernoulli", x, make_stream(8, 0, 0))
-    assert np.array_equal(out, x)
+    # Bernoulli terms of mean 1 are all 1, in the shared prefix and in each excess.
+    x = np.array([[[[4, 2]]], [[[1, 5]]]])  # two chains that cross
+    out = shared_thinning(block_rng(8, 0), "bernoulli", np.eye(2)[None], x)
+    assert np.array_equal(out, x[:, :, 0])
 
 
 def test_thinning_mean_matches_matrix_action():
@@ -246,36 +160,9 @@ def test_thinning_mean_matches_matrix_action():
     x = np.array([3, 2])
     target = a @ x
     n = 100000
-    totals = np.zeros((n, 2))
-    for t in range(n):
-        cache = CountingCache()
-        totals[t] = thinning(cache, (t, 1), a, "bernoulli", x, make_stream(9, 0, t))
+    totals = shared_thinning(block_rng(9, 0), "bernoulli", a[None], np.broadcast_to(x, (1, n, 1, 2)))[0]
     se = totals.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(totals.mean(axis=0) - target) < 3 * se)
-
-
-@pytest.mark.parametrize("family,mean", [("bernoulli", 0.7), ("poisson", 1.3), ("geometric", 2.0)])
-def test_counting_families_have_requested_mean(family, mean):
-    rng = make_stream(10, 0, 0).rng
-    draws = randomness._draw_counting(family, mean, 200000, rng)
-    assert np.all(draws >= 0)
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - mean) < 3.5 * se
-
-
-def test_bernoulli_mean_above_one_rejected():
-    cache = CountingCache()
-    with pytest.raises(ConfigurationError):
-        thinning(cache, (0, 1), np.array([[1.5]]), "bernoulli",
-                 np.array([2]), make_stream(11, 0, 0))
-
-
-def test_thinning_deterministic_under_lineage():
-    a = np.array([[0.4, 0.3], [0.2, 0.1]])
-    x = np.array([5, 4])
-    one = thinning(CountingCache(), (3, 1), a, "poisson", x, make_stream(12, 0, 3))
-    two = thinning(CountingCache(), (3, 1), a, "poisson", x, make_stream(12, 0, 3))
-    assert np.array_equal(one, two)
 
 
 # --- lockstep block primitives ------------------------------------------------
@@ -308,14 +195,8 @@ def test_shared_poisson_counts_one_process_at_both_intensities():
     # N(hi) - N(lo) ~ Poisson(hi - lo), independent of N(lo).
     assert _chi_square_poisson(increment, 3.0) > 0.001
     assert _uncorrelated(low, increment)
-    # The scalar reference: a materialized unit-rate path counted at 2 and 5.
-    ref = np.empty((20000, 2))
-    for i in range(len(ref)):
-        path, stream = PoissonProcessPath(), make_stream(22, 0, i)
-        ref[i] = path.count(2.0, stream), path.count(5.0, stream)
-    cross, ref_cross = low * high, ref[:, 0] * ref[:, 1]
-    se = math.sqrt(cross.var() / len(cross) + ref_cross.var() / len(ref_cross))
-    assert abs(cross.mean() - ref_cross.mean()) < 4 * se
+    # E N(2) N(5) = E N(2)^2 + E N(2) E(N(5) - N(2)) = 6 + 2 * 3.
+    cross = low * high
     assert abs(cross.mean() - (2.0 * 5.0 + 2.0)) < 4 * cross.std() / math.sqrt(len(cross))
 
 
@@ -351,11 +232,16 @@ def test_shared_thinning_reads_one_sequence_in_both_chains(family, mean, law):
     # The difference is a sum over the 4 extra terms, independent of the prefix.
     assert _chi_square(extra, law(4)) > 0.001
     assert _uncorrelated(short, extra)
-    # The scalar reference: the first 9 terms of a cached counting sequence.
-    ref = np.array([sum(CountingCache().draws((0, 1, 0, 0), 9, family, mean, make_stream(24, 0, i)))
-                    for i in range(5000)], dtype=float)
-    se = math.sqrt(long.var() / n + ref.var() / len(ref))
-    assert abs(long.mean() - ref.mean()) < 4 * se
+
+
+@pytest.mark.parametrize("family,mean", [("bernoulli", 0.7), ("poisson", 1.3), ("geometric", 2.0)])
+def test_counting_families_have_requested_mean(family, mean):
+    # One term of each counting sequence: the thinning sum over a lag count of 1.
+    n = 200000
+    draws = shared_thinning(block_rng(10, 0), family, np.array([[[mean]]]), np.ones((1, n, 1, 1), np.int64))[0, :, 0]
+    assert np.all(draws >= 0)
+    se = draws.std(ddof=1) / math.sqrt(n)
+    assert abs(draws.mean() - mean) < 3.5 * se
 
 
 @pytest.mark.parametrize("family", ["bernoulli", "poisson", "geometric"])
